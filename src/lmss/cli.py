@@ -98,11 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     if args.fixture:
         g, name = fixture(args.fixture), args.fixture
-    elif args.input == "-":
-        g, name = parse_edge_list(sys.stdin.read()), "<stdin>"
     else:
-        text = Path(args.input).read_text()
-        g, name = parse_edge_list(text), args.input
+        name = "<stdin>" if args.input == "-" else args.input
+        try:
+            text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+        except OSError as exc:
+            raise UsageError(f"cannot read {name}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise UsageError(f"cannot read {name}: not UTF-8 text") from None
+        g = parse_edge_list(text)
     report = analyze_graph(g, name=name)
     if args.mode == "fast" and report.psi_greedoid_fast is None:
         raise UsageError("fast mode needs a very well-covered graph")

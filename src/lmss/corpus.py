@@ -1,11 +1,24 @@
 """Corpus generation: exhaustive small graphs, trees, seeded random graphs, coronas.
 
 Exhaustive generation augments the (n-1)-vertex catalogue by one vertex
-with every possible neighbourhood and rejects isomorphs via a canonical
-form: the minimum upper-triangle adjacency key over vertex orders that
-respect an iterated-refinement colouring, with individualisation when the
-colouring leaves large cells.  Feasible through n = 8; larger sizes are
-sampled randomly.
+and rejects isomorphs via a canonical form: the minimum upper-triangle
+adjacency key over vertex orders that respect an iterated-refinement
+colouring, with individualisation when the colouring leaves large cells.
+Graphs try every neighbourhood of the new vertex, trees every single
+neighbour.  Feasible through n = 8; larger sizes are sampled randomly.
+
+Canonical forms are the expensive step, so a child is canonicalised only
+when its new vertex minimises the isomorphism-invariant vertex function
+f(v) = (deg v, sum of the degrees of v's neighbours), the canonical-deletion
+test of McKay ("Isomorph-free exhaustive generation", J. Algorithms 26,
+1998); masks whose popcount already rules that out are skipped before the
+child is built.  No class is lost: every graph G has a vertex u minimising
+f, G - u is isomorphic to some parent P in the catalogue, and some mask on
+P rebuilds G with the new vertex in u's place, where it minimises f because
+f is invariant.  For trees the minimiser is a leaf, so leaf attachment
+suffices.  The set of canonical keys is therefore unchanged, and since each
+catalogue is ``graph_from_key`` over the sorted keys, so are its
+representatives and their order.
 """
 
 from __future__ import annotations
@@ -106,6 +119,44 @@ def canonical_graph(g: Graph) -> Graph:
     return graph_from_key(g.n, canonical_key(g))
 
 
+def _new_vertex_minimises(adj: list[int]) -> bool:
+    """Whether the last vertex minimises f(v) = (deg v, sum of v's neighbours' degrees)."""
+    deg = [a.bit_count() for a in adj]
+    k = deg[-1]
+    if min(deg) < k:
+        return False
+    ties = [v for v, d in enumerate(deg) if d == k]
+    if len(ties) == 1:
+        return True
+    sums = [sum(deg[u] for u in bits(adj[v])) for v in ties]
+    return sums[-1] == min(sums)
+
+
+def _augment(parents: tuple[Graph, ...], n: int, masks: range | list[int]) -> tuple[Graph, ...]:
+    """Isomorph-free n-vertex graphs grown from the (n-1)-vertex ``parents``.
+
+    Each parent gains a vertex n-1 adjacent to ``mask`` for every mask in
+    ``masks``; a child is canonicalised only when its new vertex minimises f.
+    """
+    new = 1 << (n - 1)
+    seen: set[int] = set()
+    for p in parents:
+        pdeg = [a.bit_count() for a in p.adj]
+        low = min(pdeg, default=n)
+        # the new vertex's degree k is minimal only if every parent vertex of
+        # degree k - 1 joins it and none has a smaller degree
+        need = [sum(1 << v for v, d in enumerate(pdeg) if d == k - 1) for k in range(n)]
+        for mask in masks:
+            k = mask.bit_count()
+            if k > low + 1 or mask & need[k] != need[k]:
+                continue
+            adj = [a | new if mask >> v & 1 else a for v, a in enumerate(p.adj)]
+            adj.append(mask)
+            if _new_vertex_minimises(adj):
+                seen.add(canonical_key(Graph(n, tuple(adj))))
+    return tuple(graph_from_key(n, k) for k in sorted(seen))
+
+
 @lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism, canonical and key-sorted."""
@@ -113,13 +164,7 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
         raise UsageError(f"exhaustive generation is capped at n = {EXHAUSTIVE_LIMIT}")
     if n == 0:
         return (Graph(0, ()),)
-    seen: set[int] = set()
-    for g in nonisomorphic_graphs(n - 1):
-        for mask in range(1 << (n - 1)):
-            adj = [g.adj[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
-            adj.append(mask)
-            seen.add(canonical_key(Graph(n, tuple(adj))))
-    return tuple(graph_from_key(n, k) for k in sorted(seen))
+    return _augment(nonisomorphic_graphs(n - 1), n, range(1 << (n - 1)))
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:
@@ -140,13 +185,7 @@ def nonisomorphic_trees(n: int) -> tuple[Graph, ...]:
         return ()
     if n == 1:
         return (Graph(1, (0,)),)
-    seen: set[int] = set()
-    for t in nonisomorphic_trees(n - 1):
-        for v in range(n - 1):
-            adj = [t.adj[u] | ((1 << (n - 1)) if u == v else 0) for u in range(n - 1)]
-            adj.append(1 << v)
-            seen.add(canonical_key(Graph(n, tuple(adj))))
-    return tuple(graph_from_key(n, k) for k in sorted(seen))
+    return _augment(nonisomorphic_trees(n - 1), n, [1 << v for v in range(n - 1)])
 
 
 def trees_upto(max_n: int) -> list[Graph]:
@@ -222,6 +261,12 @@ class CorpusSpec:
             raise UsageError(f"unknown corpus source {self.source!r}")
         if self.source == "exhaustive" and not self.max_n:
             raise UsageError("exhaustive corpora need max_n")
+        for field in ("max_n", "count", "n"):
+            value = getattr(self, field)
+            if value is not None and value < 1:
+                raise UsageError(f"{field} must be at least 1, got {value}")
+        if self.edge_probability is not None and not 0 <= self.edge_probability <= 1:
+            raise UsageError(f"edge_probability must lie in [0, 1], got {self.edge_probability}")
         if self.source == "random":
             if self.seed is None:
                 raise UsageError("random corpora need an explicit seed")

@@ -378,9 +378,11 @@ def parse_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) != 1 or not parts[0].lstrip("-").isdigit():
-                raise MalformedLineError(f"expected vertex count, got {raw!r}", lineno)
-            n = int(parts[0])
+            try:
+                (count,) = parts
+                n = int(count)
+            except ValueError:
+                raise MalformedLineError(f"expected vertex count, got {raw!r}", lineno) from None
             if n < 0:
                 raise MalformedLineError(f"negative vertex count {n}", lineno)
             if n > MAX_VERTICES:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -97,6 +99,13 @@ def test_corpus_spec_validation():
         CorpusSpec(source="fixtures")
     with pytest.raises(UsageError):
         CorpusSpec(source="exhaustive", max_n=4, filter="shiny")
+    with pytest.raises(UsageError):
+        CorpusSpec(source="exhaustive", max_n=-3)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(UsageError):
+            CorpusSpec(source="random", count=5, n=6, edge_probability=p, seed=1)
+    with pytest.raises(UsageError):
+        CorpusSpec(source="random", count=-5, n=6, edge_probability=0.5, seed=1)
 
 
 def test_iter_corpus_sources_and_filters():
@@ -121,6 +130,21 @@ def test_iter_corpus_sources_and_filters():
     forests = iter_corpus(CorpusSpec(source="exhaustive", max_n=5, filter="forest"))
     assert all(it.graph.edge_count == it.graph.n - 1 for it in forests)
     assert len(forests) == sum(TREES[n] for n in range(1, 6))
+
+
+def test_catalogue_bytes_pinned():
+    # sha256 of the catalogues' adjacency lists: any change of representative
+    # or order renames corpus items (g8_00123) and can change verify output
+    def digest(catalogues):
+        data = json.dumps([[list(g.adj) for g in cat] for cat in catalogues])
+        return hashlib.sha256(data.encode()).hexdigest()
+
+    assert digest(nonisomorphic_graphs(n) for n in range(0, 9)) == (
+        "f00bdc9fd3f42f8d9335aa55aface8288ada6beae8bf6985cf87705b26b4db24"
+    )
+    assert digest(nonisomorphic_trees(n) for n in range(0, 10)) == (
+        "d8db650b72bff63ed510b320ac43fa62dfb0f0779e6a5467f79c24cac6729072"
+    )
 
 
 def test_exhaustive_cap():

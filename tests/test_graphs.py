@@ -171,6 +171,9 @@ def test_parse_and_serialize():
         parse_edge_list("2\n0 1 2\n")
     with pytest.raises(MalformedLineError):
         parse_edge_list("")
+    for count in ("--5", "\u00b2", "5 6"):
+        with pytest.raises(MalformedLineError):
+            parse_edge_list(count + "\n")
     with pytest.raises(CapacityError):
         parse_edge_list("42\n")
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from lmss import (
+    CapacityError,
     Graph,
+    ParseError,
     VertexSet,
     alpha,
     canonical_key,
@@ -49,6 +51,14 @@ def test_neighborhood_laws(g):
 @given(graphs(max_n=6))
 def test_serialize_roundtrip(g):
     assert parse_edge_list(serialize(g)) == g
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789-+\u00b2 \n#")))
+def test_parse_edge_list_raises_only_parse_or_capacity_errors(text):
+    try:
+        parse_edge_list(text)
+    except (ParseError, CapacityError):
+        pass
 
 
 @given(graphs(max_n=5), st.integers(min_value=0, max_value=2**30))

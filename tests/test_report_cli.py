@@ -85,6 +85,28 @@ def test_cli_parse_errors_reported_with_line(tmp_path):
     assert code == 2 and "line 2" in err
 
 
+def test_cli_analyze_unreadable_input_exits_2(tmp_path):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\n")
+    for path in (tmp_path / "missing.txt", binary):
+        code, out, err = run_cli("analyze", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}") and err.count("\n") == 1
+
+
+def test_cli_verify_rejects_nonpositive_max_n():
+    code, out, err = run_cli("verify", "--theorem", "th8", "--source", "exhaustive", "--max-n", "-3")
+    assert code == 2 and out == "" and "max_n" in err
+
+
+def test_cli_verify_rejects_edge_probability_outside_unit_interval():
+    code, out, err = run_cli(
+        "verify", "--theorem", "th8", "--source", "random", "--count", "5", "--n", "6",
+        "--p", "1.5", "--seed", "1",
+    )
+    assert code == 2 and out == "" and "edge_probability" in err
+
+
 def test_cli_verify_exit_codes():
     code, out, _ = run_cli(
         "verify", "--theorem", "th8", "--source", "fixtures",
