@@ -10,6 +10,12 @@ For very well-covered graphs the family of local maximum stable sets is a
 greedoid exactly when the graph has a unique perfect matching, which gives
 the fast decision route; the brute-force route checks the axioms on the
 enumerated family and works on every graph.
+
+The exchange check is a bitmask kernel.  For each size k it records, for
+every member Y of size k, the mask of vertices v with Y+{v} a member,
+found by dropping one vertex at a time from the members of size k+1.  A
+pair X, Y then passes with a single AND, so the cost per level is one set
+probe per element of a larger member plus one AND per pair.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .matching import (
 )
 from .stability import (
     StableSetFamily,
+    _has_member,
     _psi_member_bits,
     omega_enumerate,
     psi_enumerate,
@@ -67,10 +74,7 @@ class SetSystem:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._member_set()
-
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return _has_member(self.members, mask)
 
 
 def check_accessibility(f: SetSystem) -> tuple[bool, int | None]:
@@ -79,7 +83,7 @@ def check_accessibility(f: SetSystem) -> tuple[bool, int | None]:
     The empty set is treated as an implicit member, so singletons are
     always accessible.  Returns the first violating member otherwise.
     """
-    have = f._member_set() | {0}
+    have = {0, *f.members}
     for x in f.members:
         if x and not any(x ^ (1 << v) in have for v in bits(x)):
             return False, x
@@ -87,16 +91,33 @@ def check_accessibility(f: SetSystem) -> tuple[bool, int | None]:
 
 
 def check_exchange(f: SetSystem) -> tuple[bool, tuple[int, int] | None]:
-    """For members X, Y with |X| = |Y|+1 some x in X-Y keeps Y+{x} a member."""
-    have = f._member_set()
+    """For members X, Y with |X| = |Y|+1 some x in X-Y keeps Y+{x} a member.
+
+    Level by level, ``ext[y]`` is the mask of vertices v with y+{v} a
+    member, built in one pass over the members one larger (each drops one
+    vertex at a time).  ext[y] never meets y, so a pair passes exactly when
+    ``x & ext[y]`` is non-zero.  Pairs are visited x-outer, y-inner in
+    ascending order, and the first failing pair is returned.
+    """
     by_size: dict[int, list[int]] = {}
     for m in f.members:
         by_size.setdefault(m.bit_count(), []).append(m)
     for k, ys in sorted(by_size.items()):
-        xs = by_size.get(k + 1, ())
+        xs = by_size.get(k + 1)
+        if not xs:
+            continue
+        ext = dict.fromkeys(ys, 0)
         for x in xs:
-            for y in ys:
-                if not any(y | (1 << v) in have for v in bits(x & ~y)):
+            rest = x
+            while rest:
+                low = rest & -rest
+                y = x ^ low
+                if y in ext:
+                    ext[y] |= low
+                rest ^= low
+        for x in xs:
+            for y, e in ext.items():
+                if not x & e:
                     return False, (x, y)
     return True, None
 
@@ -206,14 +227,19 @@ def psi_is_greedoid(g: Graph, mode: str = "auto") -> GreedoidVerdict:
     if mode == "fast":
         if 2 * mu(g) != g.n:
             return GreedoidVerdict(False, "fast")
-        unique, witness = has_unique_perfect_matching(g)
-        if unique:
-            return GreedoidVerdict(True, "fast", unique_matching=witness)
+        # a perfect matching is the unique one exactly when no alternating
+        # cycle exists, so one search gives both the verdict and its certificate
         pm = _first_perfect_matching(g)
-        cyc = find_alternating_cycle(g, pm) if pm is not None else None
+        cyc = find_alternating_cycle(g, pm)
+        if cyc is None:
+            return GreedoidVerdict(True, "fast", unique_matching=pm)
         return GreedoidVerdict(False, "fast", alternating_cycle=cyc)
 
-    f = SetSystem.from_family(psi_enumerate(g, mode="oracle"))
+    return _bruteforce_verdict(g, SetSystem.from_family(psi_enumerate(g, mode="oracle")))
+
+
+def _bruteforce_verdict(g: Graph, f: SetSystem) -> GreedoidVerdict:
+    """The brute-force verdict on f, the already enumerated family of g."""
     ok, bad = check_accessibility(f)
     if not ok:
         return GreedoidVerdict(False, "bruteforce", inaccessible_member=VertexSet(g, bad))

@@ -226,25 +226,32 @@ def enumerate_perfect_matchings(g: Graph) -> list[Matching]:
 
 def count_perfect_matchings(g: Graph) -> int:
     """Number of perfect matchings, by memoised recursion on the free-vertex mask."""
-    if g.n == 0:
-        return 1
     if g.n % 2:
         return 0
-    memo: dict[int, int] = {0: 1}
+    return _count_perfect_matchings_on(g, g.full_mask, {})
 
-    def count(avail: int) -> int:
-        got = memo.get(avail)
-        if got is not None:
-            return got
-        low = avail & -avail
-        v = low.bit_length() - 1
-        total = 0
-        for u in bits(g.adj[v] & avail):
-            total += count(avail ^ low ^ (1 << u))
-        memo[avail] = total
-        return total
 
-    return count(g.full_mask)
+def _count_perfect_matchings_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
+    """Number of perfect matchings of the subgraph induced by ``avail``.
+
+    The lowest free vertex is matched to each free neighbour in turn.
+    ``memo`` maps free-vertex masks to counts; it is valid for one graph
+    only, and every mask of that graph may share it.
+    """
+    if not avail:
+        return 1
+    got = memo.get(avail)
+    if got is not None:
+        return got
+    low = avail & -avail
+    rest = g.adj[low.bit_length() - 1] & avail
+    total = 0
+    while rest:
+        u = rest & -rest
+        total += _count_perfect_matchings_on(g, avail ^ low ^ u, memo)
+        rest ^= u
+    memo[avail] = total
+    return total
 
 
 def find_alternating_cycle(g: Graph, m: Matching) -> AlternatingCycle | None:

@@ -23,7 +23,7 @@ from .classifiers import (
     is_very_well_covered,
     is_well_covered,
 )
-from .greedoid import SetSystem, check_accessibility, check_exchange, psi_is_greedoid
+from .greedoid import SetSystem, _bruteforce_verdict, check_exchange, psi_is_greedoid
 
 SCHEMA_VERSION = 1
 
@@ -158,9 +158,14 @@ def analyze_graph(g: Graph, name: str | None = None, timings: bool = True) -> Cl
     unique, witness = timed("unique_perfect_matching", lambda: has_unique_perfect_matching(g))
     family = timed("psi_enumerate", lambda: psi_enumerate(g, mode="oracle"))
     system = SetSystem.from_family(family)
-    access_ok, access_bad = timed("accessibility", lambda: check_accessibility(system))
-    exchange_ok, exchange_bad = timed("exchange", lambda: check_exchange(system))
-    brute = timed("psi_greedoid_bruteforce", lambda: psi_is_greedoid(g, mode="bruteforce"))
+    brute = timed("psi_greedoid_bruteforce", lambda: _bruteforce_verdict(g, system))
+    access_bad = brute.inaccessible_member
+    exchange_bad = brute.exchange_violation
+    if access_bad is not None:
+        # the verdict stops at the first failed axiom; exchange is still reported
+        ok, pair = timed("exchange", lambda: check_exchange(system))
+        if not ok:
+            exchange_bad = (VertexSet(g, pair[0]), VertexSet(g, pair[1]))
     fast = timed("psi_greedoid_fast", lambda: psi_is_greedoid(g, mode="fast") if vwc else None)
     auto = fast if fast is not None else brute
 
@@ -168,11 +173,11 @@ def analyze_graph(g: Graph, name: str | None = None, timings: bool = True) -> Cl
     if witness is not None:
         certificates["unique_perfect_matching"] = [f"{u}-{v}" for u, v in witness.edges]
     if access_bad is not None:
-        certificates["inaccessible_member"] = _vertex_list(VertexSet(g, access_bad))
+        certificates["inaccessible_member"] = _vertex_list(access_bad)
     if exchange_bad is not None:
         certificates["exchange_violation"] = {
-            "x": [v for v in range(g.n) if exchange_bad[0] >> v & 1],
-            "y": [v for v in range(g.n) if exchange_bad[1] >> v & 1],
+            "x": _vertex_list(exchange_bad[0]),
+            "y": _vertex_list(exchange_bad[1]),
         }
     verdict = auto
     if verdict.alternating_cycle is not None:
@@ -197,8 +202,8 @@ def analyze_graph(g: Graph, name: str | None = None, timings: bool = True) -> Cl
         perfect_matching_count=pm_count,
         unique_perfect_matching=unique,
         psi_size=len(family),
-        accessibility=access_ok,
-        exchange=exchange_ok,
+        accessibility=access_bad is None,
+        exchange=exchange_bad is None,
         psi_greedoid_bruteforce=brute.holds,
         psi_greedoid_fast=fast.holds if fast is not None else None,
         psi_greedoid_auto=auto.holds,

@@ -12,6 +12,7 @@ shortcut applies; the test suite enforces that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -75,6 +76,12 @@ def alpha(g: Graph) -> int:
     return _alpha_table(g)[g.full_mask]
 
 
+def _has_member(members: tuple[int, ...], mask: int) -> bool:
+    """Membership in an ascending tuple of masks, by binary search."""
+    i = bisect_left(members, mask)
+    return i < len(members) and members[i] == mask
+
+
 @dataclass(frozen=True)
 class StableSetFamily:
     """A family of stable sets of one graph, in ascending bitmask order."""
@@ -93,8 +100,7 @@ class StableSetFamily:
         return (VertexSet(self.graph, m) for m in self.members)
 
     def __contains__(self, s: VertexSet | int) -> bool:
-        mask = s.bits if isinstance(s, VertexSet) else s
-        return mask in set(self.members)
+        return _has_member(self.members, s.bits if isinstance(s, VertexSet) else s)
 
     def sets(self) -> tuple[VertexSet, ...]:
         return tuple(self)

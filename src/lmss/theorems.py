@@ -5,6 +5,13 @@ holds, and reports violations with enough context to reproduce them.
 Wherever a statement equates two notions, the rule derives both sides
 through independent code paths (enumeration vs. search, counting vs.
 axioms) rather than trusting one implementation twice.
+
+The definitional uniquely-restricted test (th9, th22, equiv7) counts the
+perfect matchings of the subgraph induced by a matching's saturated
+vertices, on the saturated mask of the graph itself.  One count memo per
+corpus item serves all of that item's matchings, since their saturated
+masks share sub-masks, and is dropped when the item is done.  The count
+shares no code with the alternating-cycle search it is compared with.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import Graph, UsageError, VertexSet, bits, induced_subgraph, serialize
+from .graphs import Graph, UsageError, VertexSet, bits, serialize
 from .stability import (
     _psi_member_bits,
     _stable_table,
@@ -26,6 +33,7 @@ from .stability import (
 )
 from .matching import (
     Matching,
+    _count_perfect_matchings_on,
     count_perfect_matchings,
     enumerate_matchings,
     enumerate_maximum_matchings,
@@ -72,11 +80,13 @@ def _violation(rule: str, item: CorpusItem, detail: str) -> Violation:
     return Violation(rule, item.name, detail, serialize(item.graph))
 
 
-def _unique_pm_of_saturated(g: Graph, m: Matching) -> bool:
+def _unique_pm_of_saturated(g: Graph, m: Matching, memo: dict[int, int]) -> bool:
     """Definitional uniquely-restricted test: count perfect matchings of the
-    subgraph induced by the saturated vertices."""
-    sub, _ = induced_subgraph(g, m.saturated())
-    return count_perfect_matchings(sub) == 1
+    subgraph induced by the saturated vertices.
+
+    ``memo`` is the count memo of g, shared by every matching of one item.
+    """
+    return _count_perfect_matchings_on(g, m.saturated_bits, memo) == 1
 
 
 # ------------------------------------------------------------------ rules
@@ -172,9 +182,10 @@ def _check_th8(item: CorpusItem) -> list[Violation]:
 def _check_th9(item: CorpusItem) -> list[Violation]:
     g = item.graph
     out = []
+    memo: dict[int, int] = {}
     for m in enumerate_matchings(g):
         by_cycle = is_uniquely_restricted(g, m)
-        by_count = _unique_pm_of_saturated(g, m)
+        by_count = _unique_pm_of_saturated(g, m, memo)
         if by_cycle != by_count:
             out.append(
                 _violation("th9", item, f"{m!r}: alternating-cycle route {by_cycle}, enumeration {by_count}")
@@ -209,7 +220,8 @@ def _check_th22(item: CorpusItem) -> list[Violation]:
     if not is_bipartite(g):
         return []
     lhs = psi_is_greedoid(g, mode="bruteforce").holds
-    rhs = all(_unique_pm_of_saturated(g, m) for m in enumerate_maximum_matchings(g))
+    memo: dict[int, int] = {}
+    rhs = all(_unique_pm_of_saturated(g, m, memo) for m in enumerate_maximum_matchings(g))
     if lhs != rhs:
         return [_violation("th22", item, f"greedoid {lhs}, all-maximum-matchings-restricted {rhs}")]
     return []
@@ -305,7 +317,8 @@ def _check_equiv7(item: CorpusItem) -> list[Violation]:
     if not is_very_well_covered(g):
         return []
     mm = enumerate_maximum_matchings(g)
-    restricted = [_unique_pm_of_saturated(g, m) for m in mm]
+    memo: dict[int, int] = {}
+    restricted = [_unique_pm_of_saturated(g, m, memo) for m in mm]
     cycle_free = [find_alternating_cycle(g, m) is None for m in mm]
     square_free = [find_alternating_c4(g, m) is None for m in mm]
     preds = {

@@ -5,6 +5,7 @@ statements here are exact combinatorial facts, so every criterion demands
 zero violations; the only tolerances are the stated runtime budgets.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -229,4 +230,15 @@ def test_criterion_8_determinism():
         "criterion 8: two seeded runs of the verify suite are byte-identical",
         first == second and len(first) > 0,
         f"{len(first)} bytes",
+    )
+
+
+def test_criterion_8_bytes_pinned():
+    # sha256 of the suite's output: a change that only optimises must leave
+    # every byte of every report as it is
+    digest = hashlib.sha256(_run_suite_once()).hexdigest()
+    report(
+        "criterion 8: the verify suite's bytes equal the pinned digest",
+        digest == "561310f40ef86e40464f7bb1f10c47157cd4649fca6b5caeaee8e6238f5926a6",
+        digest,
     )

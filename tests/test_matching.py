@@ -23,6 +23,8 @@ from lmss import (
     pm_edge_cycle_exclusion,
 )
 from lmss.fixtures import fixture, named_edges
+from lmss.graphs import induced_subgraph
+from lmss.matching import _count_perfect_matchings_on
 
 
 def matching_by_names(name, *pairs):
@@ -152,6 +154,17 @@ def test_has_unique_perfect_matching():
 def test_unique_pm_agrees_with_count(connected_upto_6):
     for g in connected_upto_6:
         assert has_unique_perfect_matching(g)[0] == (count_perfect_matchings(g) == 1)
+
+
+def test_saturated_mask_count_agrees_with_induced_subgraph(connected_upto_6):
+    # one memo per graph, shared by all its matchings, as the rules use it
+    for g in connected_upto_6:
+        memo = {}
+        for m in enumerate_matchings(g):
+            sub, _ = induced_subgraph(g, m.saturated())
+            assert _count_perfect_matchings_on(g, m.saturated_bits, memo) == (
+                count_perfect_matchings(sub)
+            ), (g, m)
 
 
 def test_find_alternating_c4():

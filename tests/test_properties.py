@@ -10,9 +10,11 @@ from lmss import (
     CapacityError,
     Graph,
     ParseError,
+    SetSystem,
     VertexSet,
     alpha,
     canonical_key,
+    check_exchange,
     closed_neighborhood,
     complete,
     corona,
@@ -46,6 +48,37 @@ def test_neighborhood_laws(g):
         nb = neighborhood(g, s)
         assert nb.bits & s.bits == 0
         assert closed_neighborhood(g, s).bits == s.bits | nb.bits
+
+
+@st.composite
+def set_systems(draw, max_n=7):
+    """Any non-empty family on a ground set of at most max_n elements: the
+    empty set may be absent and whole sizes may be missing."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    members = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1))
+    return SetSystem(n, tuple(sorted(members)))
+
+
+def _exchange_by_pairs(f):
+    """Exchange from its definition: every pair X, Y with |X| = |Y|+1, by
+    ascending |Y|, then X, then Y; the first pair where no element of X-Y
+    extends Y to a member fails."""
+    family = set(f.members)
+    pairs = sorted(
+        ((x, y) for x in f.members for y in f.members if x.bit_count() == y.bit_count() + 1),
+        key=lambda p: (p[1].bit_count(), p[0], p[1]),
+    )
+    for x, y in pairs:
+        donors = [v for v in range(f.ground_size) if x >> v & 1 and not y >> v & 1]
+        if not any(y | 1 << v in family for v in donors):
+            return False, (x, y)
+    return True, None
+
+
+@given(set_systems())
+@settings(max_examples=300)
+def test_check_exchange_matches_pairwise_definition(f):
+    assert check_exchange(f) == _exchange_by_pairs(f)
 
 
 @given(graphs(max_n=6))
