@@ -24,7 +24,7 @@ for rep in summary.reports:
 
 # Very well-covered graphs are rare in the random model; the filter keeps
 # whatever survives, and the unique-matching criterion is checked on those.
-spec = CorpusSpec(source="random", count=200, n=10, edge_probability=0.2,
+spec = CorpusSpec(source="random", count=500, n=10, edge_probability=0.2,
                   seed=42, filter="vwc")
 print("\nrandom survivors:", [it.name for it in iter_corpus(spec)])
 summary = verify(spec, ["th8"])

@@ -85,7 +85,6 @@ from .greedoid import (
     check_exchange,
     is_greedoid,
     matching_from_chains,
-    psi_accessibility_implies_greedoid_check,
     psi_is_greedoid,
 )
 from .corpus import (

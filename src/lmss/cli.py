@@ -74,16 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="one of: " + " ".join(fixture_names()))
     src.add_argument("input", nargs="?", help="edge-list file ('-' for stdin)")
     pa.add_argument("--format", choices=["json", "text"], default="text")
-    pa.add_argument("--mode", choices=["auto", "oracle", "fast"], default="auto",
-                    help="greedoid decision route (auto picks fast on very "
-                    "well-covered graphs)")
 
     pv = sub.add_parser("verify", help="check rules over a corpus")
     pv.add_argument("--theorem", action="append", metavar="RULE", required=True,
                     help="rule id or 'all'; known: " + " ".join(sorted(RULES)))
     _add_corpus_args(pv)
     pv.add_argument("--format", choices=["json", "text"], default="text")
-    pv.add_argument("--jobs", type=int, default=1, help="worker threads")
 
     pg = sub.add_parser("generate", help="write a corpus as edge-list text")
     _add_corpus_args(pg)
@@ -108,8 +104,6 @@ def _cmd_analyze(args) -> int:
             raise UsageError(f"cannot read {name}: not UTF-8 text") from None
         g = parse_edge_list(text)
     report = analyze_graph(g, name=name)
-    if args.mode == "fast" and report.psi_greedoid_fast is None:
-        raise UsageError("fast mode needs a very well-covered graph")
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
@@ -121,7 +115,7 @@ def _cmd_verify(args) -> int:
     names = sorted(RULES) if "all" in args.theorem else args.theorem
     if "all" in args.theorem and args.source != "coronas":
         names = [n for n in names if not RULES[n].needs_corona]
-    summary = verify(_corpus_spec(args), names, jobs=args.jobs)
+    summary = verify(_corpus_spec(args), names)
     if args.format == "json":
         sys.stdout.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
     else:

@@ -162,9 +162,6 @@ class Graph:
             m |= 1 << self.vertex(s)
         return VertexSet(self, m)
 
-    def vertex_set(self, vertices: Iterable[int | str]) -> "VertexSet":
-        return self.set_of(*vertices)
-
     def with_labels(self, labels: Sequence[str] | None) -> "Graph":
         return Graph(self.n, self.adj, tuple(labels) if labels is not None else None)
 
@@ -231,12 +228,6 @@ def require_member(g: Graph, s: VertexSet) -> int:
     if s.graph != g:
         raise MismatchError("vertex set does not belong to this graph")
     return s.bits
-
-
-def as_mask(g: Graph, s: "VertexSet | Iterable[int | str]") -> int:
-    if isinstance(s, VertexSet):
-        return require_member(g, s)
-    return g.set_of(*s).bits
 
 
 def neighborhood_bits(g: Graph, mask: int) -> int:

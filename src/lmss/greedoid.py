@@ -30,7 +30,6 @@ from .matching import (
     _first_perfect_matching,
     find_alternating_cycle,
     has_unique_perfect_matching,
-    mu,
 )
 from .stability import (
     StableSetFamily,
@@ -126,18 +125,6 @@ def is_greedoid(f: SetSystem) -> bool:
     return check_accessibility(f)[0] and check_exchange(f)[0]
 
 
-def psi_accessibility_implies_greedoid_check(g: Graph) -> bool:
-    """Accessibility of the local-maximum-stable-set family implies exchange.
-
-    Property-test helper: evaluates the implication on g (expected to be
-    vacuously or genuinely true on every graph).
-    """
-    f = SetSystem.from_family(psi_enumerate(g, mode="oracle"))
-    if not check_accessibility(f)[0]:
-        return True
-    return check_exchange(f)[0]
-
-
 @dataclass(frozen=True)
 class AccessibilityChain:
     """Vertex insertion order x1..xk whose prefixes all stay in the family."""
@@ -225,11 +212,11 @@ def psi_is_greedoid(g: Graph, mode: str = "auto") -> GreedoidVerdict:
         mode = "fast" if is_very_well_covered(g) else "bruteforce"
 
     if mode == "fast":
-        if 2 * mu(g) != g.n:
+        pm = _first_perfect_matching(g)
+        if pm is None:
             return GreedoidVerdict(False, "fast")
         # a perfect matching is the unique one exactly when no alternating
         # cycle exists, so one search gives both the verdict and its certificate
-        pm = _first_perfect_matching(g)
         cyc = find_alternating_cycle(g, pm)
         if cyc is None:
             return GreedoidVerdict(True, "fast", unique_matching=pm)

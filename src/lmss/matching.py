@@ -5,6 +5,11 @@ of the subgraph induced by the vertices it saturates; equivalently, when
 the graph has no M-alternating cycle.  The alternating-cycle route is the
 implementation; the enumeration route stays available as an oracle.
 
+Each matching concept has one search.  ``_perfect_matchings`` walks the
+memoised counter ``_count_perfect_matchings_on`` and yields the first
+perfect matching and all of them; ``_alternating_cycles`` yields the
+first alternating cycle and all of them.
+
 All enumeration is exhaustive DFS over canonical edge order, exact and
 deterministic at this scale (n <= 16).
 """
@@ -205,23 +210,8 @@ def enumerate_maximum_matchings(g: Graph) -> list[Matching]:
 
 
 def enumerate_perfect_matchings(g: Graph) -> list[Matching]:
-    if g.n % 2:
-        return []
-    out: list[Matching] = []
-
-    def grow(avail: int, chosen: list[Edge]):
-        if not avail:
-            out.append(Matching(g, tuple(chosen)))
-            return
-        low = avail & -avail
-        v = low.bit_length() - 1
-        for u in bits(g.adj[v] & avail):
-            chosen.append(Edge(v, u))
-            grow(avail ^ low ^ (1 << u), chosen)
-            chosen.pop()
-
-    grow(g.full_mask, [])
-    return sorted(out, key=lambda m: m.edges)
+    """All perfect matchings, in lexicographic edge order."""
+    return list(_perfect_matchings(g, g.full_mask, {}, []))
 
 
 def count_perfect_matchings(g: Graph) -> int:
@@ -254,76 +244,79 @@ def _count_perfect_matchings_on(g: Graph, avail: int, memo: dict[int, int]) -> i
     return total
 
 
-def find_alternating_cycle(g: Graph, m: Matching) -> AlternatingCycle | None:
-    """First alternating cycle with respect to m, or None.
+def _perfect_matchings(g: Graph, avail: int, memo: dict[int, int], chosen: list[Edge]):
+    """Perfect matchings on ``avail`` extending ``chosen``, in lexicographic
+    edge order: the counter's recursion, entering only masks whose count is
+    non-zero, so the walk never backtracks."""
+    if not avail:
+        yield Matching(g, tuple(chosen))
+        return
+    low = avail & -avail
+    v = low.bit_length() - 1
+    rest = g.adj[v] & avail
+    while rest:
+        u = rest & -rest
+        sub = avail ^ low ^ u
+        if _count_perfect_matchings_on(g, sub, memo):
+            chosen.append(Edge(v, u.bit_length() - 1))
+            yield from _perfect_matchings(g, sub, memo, chosen)
+            chosen.pop()
+        rest ^= u
 
-    DFS over alternating walks, seeded at each matched edge in canonical
-    order and extending through ascending neighbours, so the result is
-    deterministic.
-    """
-    _check_matching(g, m)
+
+def _alternating_cycles(g: Graph, m: Matching):
+    """Alternating cycles with respect to m, once per matched edge on them:
+    DFS over alternating walks seeded at each matched edge ab in canonical
+    order, extending through ascending neighbours and closing at a."""
     mate: dict[int, int] = {}
     for u, v in m.edges:
         mate[u] = v
         mate[v] = u
     for a, b in m.edges:
-        path = _alt_dfs(g, mate, a, [a, b], (1 << a) | (1 << b))
-        if path is not None:
-            flags = tuple(i % 2 == 0 for i in range(len(path)))
-            return AlternatingCycle(g, tuple(path), flags)
-    return None
+        path = [a, b]
+        onpath = (1 << a) | (1 << b)
+        # rest: untried neighbours of the walk's end; stack: those of earlier ends
+        rest = g.adj[b] & ~(1 << a)
+        stack: list[int] = []
+        while True:
+            if not rest:
+                if not stack:
+                    break
+                rest = stack.pop()
+                onpath ^= (1 << path.pop()) | (1 << path.pop())
+                continue
+            low = rest & -rest
+            rest ^= low
+            if low >> a & 1:
+                if len(path) >= 4:
+                    flags = tuple(i % 2 == 0 for i in range(len(path)))
+                    yield AlternatingCycle(g, tuple(path), flags)
+                continue
+            if onpath & low:
+                continue
+            # the path holds whole matched edges, so a free u has a free mate
+            u = low.bit_length() - 1
+            w = mate.get(u)
+            if w is None:
+                continue
+            path += (u, w)
+            onpath |= low | (1 << w)
+            stack.append(rest)
+            rest = g.adj[w] & ~low
 
 
-def _alt_dfs(g, mate, home, path, onpath):
-    """Extend an alternating path (last step matched) and close it at ``home``."""
-    x = path[-1]
-    for u in bits(g.adj[x]):
-        if mate.get(x) == u:
-            continue
-        if u == home:
-            if len(path) >= 4:
-                return path
-            continue
-        if onpath >> u & 1:
-            continue
-        w = mate.get(u)
-        if w is None or onpath >> w & 1:
-            continue
-        got = _alt_dfs(g, mate, home, path + [u, w], onpath | (1 << u) | (1 << w))
-        if got is not None:
-            return got
-    return None
+def find_alternating_cycle(g: Graph, m: Matching) -> AlternatingCycle | None:
+    """First alternating cycle with respect to m, or None."""
+    _check_matching(g, m)
+    return next(_alternating_cycles(g, m), None)
 
 
 def enumerate_alternating_cycles(g: Graph, m: Matching) -> list[AlternatingCycle]:
     """All distinct alternating cycles (distinct as edge sets)."""
     _check_matching(g, m)
-    mate: dict[int, int] = {}
-    for u, v in m.edges:
-        mate[u] = v
-        mate[v] = u
     found: dict[frozenset, AlternatingCycle] = {}
-
-    def walk(home, path, onpath):
-        x = path[-1]
-        for u in bits(g.adj[x]):
-            if mate.get(x) == u:
-                continue
-            if u == home:
-                if len(path) >= 4:
-                    flags = tuple(i % 2 == 0 for i in range(len(path)))
-                    cyc = AlternatingCycle(g, tuple(path), flags)
-                    found.setdefault(frozenset(cyc.edges()), cyc)
-                continue
-            if onpath >> u & 1:
-                continue
-            w = mate.get(u)
-            if w is None or onpath >> w & 1:
-                continue
-            walk(home, path + [u, w], onpath | (1 << u) | (1 << w))
-
-    for a, b in m.edges:
-        walk(a, [a, b], (1 << a) | (1 << b))
+    for cyc in _alternating_cycles(g, m):
+        found.setdefault(frozenset(cyc.edges()), cyc)
     return list(found.values())
 
 
@@ -338,35 +331,14 @@ def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
     Finds one perfect matching exhaustively, then asks whether it is
     uniquely restricted; on a perfect matching that equals uniqueness.
     """
-    if g.n % 2:
-        return False, None
     first = _first_perfect_matching(g)
-    if first is None:
-        return False, None
-    if is_uniquely_restricted(g, first):
+    if first is not None and is_uniquely_restricted(g, first):
         return True, first
     return False, None
 
 
 def _first_perfect_matching(g: Graph) -> Matching | None:
-    if mu(g) * 2 != g.n:
-        return None
-
-    def grow(avail: int, chosen: list[Edge]):
-        if not avail:
-            return chosen
-        low = avail & -avail
-        v = low.bit_length() - 1
-        for u in bits(g.adj[v] & avail):
-            chosen.append(Edge(v, u))
-            got = grow(avail ^ low ^ (1 << u), chosen)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    res = grow(g.full_mask, [])
-    return Matching(g, tuple(res)) if res is not None else None
+    return next(_perfect_matchings(g, g.full_mask, {}, []), None)
 
 
 def find_alternating_c4(g: Graph, m: Matching) -> AlternatingCycle | None:

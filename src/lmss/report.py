@@ -136,7 +136,7 @@ def _vertex_list(s) -> list[int]:
     return list(s.vertices())
 
 
-def analyze_graph(g: Graph, name: str | None = None, timings: bool = True) -> ClassificationReport:
+def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
     """Compute every predicate, certificate and timing for one graph."""
     clock: dict[str, float] = {}
 
@@ -208,7 +208,7 @@ def analyze_graph(g: Graph, name: str | None = None, timings: bool = True) -> Cl
         psi_greedoid_fast=fast.holds if fast is not None else None,
         psi_greedoid_auto=auto.holds,
         certificates=certificates,
-        timings_ms=clock if timings else {},
+        timings_ms=clock,
     )
 
 

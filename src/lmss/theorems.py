@@ -16,7 +16,6 @@ shares no code with the alternating-cycle search it is compared with.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -432,22 +431,20 @@ class VerificationSummary:
         }
 
 
-def verify(spec: CorpusSpec, rule_names: list[str], jobs: int = 1) -> VerificationSummary:
-    """Run the named rules over the corpus; reports merge in corpus order."""
+def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
+    """Run the named rules over the corpus; violations keep corpus order.
+    An empty corpus is a usage error, since it would pass every rule."""
     for name in rule_names:
         if name not in RULES:
             raise UsageError(f"unknown rule {name!r}")
     items = iter_corpus(spec)
+    if not items:
+        raise UsageError("the corpus is empty: no graph to check")
     reports = []
     for name in rule_names:
         rule = RULES[name]
         if rule.needs_corona and spec.source != "coronas":
             raise UsageError(f"rule {name!r} needs a corona corpus")
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                chunks = list(pool.map(rule.check, items))
-        else:
-            chunks = [rule.check(it) for it in items]
-        violations = tuple(v for chunk in chunks for v in chunk)
+        violations = tuple(v for it in items for v in rule.check(it))
         reports.append(RuleReport(name, len(items), violations))
     return VerificationSummary(spec, tuple(reports))

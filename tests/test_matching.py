@@ -98,13 +98,38 @@ def test_find_alternating_cycle_examples():
     assert cyc is not None and cyc.length == 4 and cyc.chords()
 
 
+def _cycle_edge_set(vertices):
+    k = len(vertices)
+    return frozenset(tuple(sorted((vertices[i], vertices[(i + 1) % k]))) for i in range(k))
+
+
 def test_find_alternating_cycle_agrees_with_oracle(connected_upto_6):
+    # both public views of the one alternating walk, on every maximum matching
     for g in connected_upto_6:
         e = oracles.edges_of(g)
         for m in enumerate_maximum_matchings(g):
             pairs = [tuple(x) for x in m.edges]
-            want = bool(oracles.alternating_cycles(g.n, e, pairs))
-            assert (find_alternating_cycle(g, m) is not None) == want
+            want = {_cycle_edge_set(c) for c, _ in oracles.alternating_cycles(g.n, e, pairs)}
+            got = [_cycle_edge_set(c.vertices) for c in enumerate_alternating_cycles(g, m)]
+            assert len(got) == len(set(got)) and set(got) == want, (g, m)
+            first = find_alternating_cycle(g, m)
+            if want:
+                assert first is not None and _cycle_edge_set(first.vertices) in want
+            else:
+                assert first is None
+
+
+def test_perfect_matching_walk_against_oracle(connected_upto_6):
+    for g in connected_upto_6:
+        want = sorted(
+            tuple(sorted(m)) for m in oracles.perfect_matchings(g.n, oracles.edges_of(g))
+        )
+        pms = enumerate_perfect_matchings(g)
+        assert [tuple(tuple(x) for x in m.edges) for m in pms] == want
+        unique, witness = has_unique_perfect_matching(g)
+        assert unique == (len(pms) == 1)
+        if unique:
+            assert witness == pms[0]
 
 
 def test_enumerate_alternating_cycles_unique_on_fig9_G2():

@@ -73,11 +73,6 @@ def test_cli_analyze_text_and_json(tmp_path):
     assert code == 0 and json.loads(out)["invariants"]["alpha"] == 1
 
 
-def test_cli_analyze_fast_mode_errors_on_non_vwc():
-    code, _, err = run_cli("analyze", "--fixture", "fig10_G", "--mode", "fast")
-    assert code == 2 and "very well-covered" in err
-
-
 def test_cli_parse_errors_reported_with_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3\n0 0\n")
@@ -105,6 +100,15 @@ def test_cli_verify_rejects_edge_probability_outside_unit_interval():
         "--p", "1.5", "--seed", "1",
     )
     assert code == 2 and out == "" and "edge_probability" in err
+
+
+def test_cli_verify_empty_corpus_exits_2():
+    code, out, err = run_cli(
+        "verify", "--theorem", "th8", "--source", "fixtures", "--fixture", "fig10_G",
+        "--filter", "vwc",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "empty" in err and err.count("\n") == 1
 
 
 def test_cli_verify_exit_codes():

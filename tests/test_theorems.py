@@ -60,11 +60,11 @@ def test_violations_propagate_and_serialise(monkeypatch):
     assert data["rules"][0]["violations"][0]["detail"] == "forced"
 
 
-def test_parallel_matches_serial():
-    spec = CorpusSpec(source="exhaustive", max_n=5)
-    a = verify(spec, ["th8", "th9"], jobs=1)
-    b = verify(spec, ["th8", "th9"], jobs=4)
-    assert a.to_dict() == b.to_dict()
+def test_verify_rejects_empty_corpus():
+    # fig10_G is not very well-covered, so the filter leaves no graph
+    spec = CorpusSpec(source="fixtures", fixtures=("fig10_G",), filter="vwc")
+    with pytest.raises(UsageError, match="empty"):
+        verify(spec, ["th8"])
 
 
 def test_th4_checker_on_ke_graphs(connected_upto_6):
