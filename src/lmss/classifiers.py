@@ -120,7 +120,7 @@ def psi_neighborhoods_are_ke(g: Graph) -> tuple[bool, VertexSet | None]:
     """
     atab = _alpha_table(g)
     mtab = _mu_table(g)
-    for m in psi_enumerate(g, mode="oracle").members:
+    for m in psi_enumerate(g).members:
         closed = closed_neighborhood_bits(g, m)
         if atab[closed] + mtab[closed] != closed.bit_count():
             return False, VertexSet(g, m)

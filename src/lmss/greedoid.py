@@ -9,7 +9,9 @@ counts as an implicit member during the accessibility check.
 For very well-covered graphs the family of local maximum stable sets is a
 greedoid exactly when the graph has a unique perfect matching, which gives
 the fast decision route; the brute-force route checks the axioms on the
-enumerated family and works on every graph.
+enumerated family and works on every graph.  A negative brute-force
+verdict carries the failing axiom's witness; a positive one carries no
+certificate, since the axioms hold on the whole family.
 
 The exchange check is a bitmask kernel.  For each size k it records, for
 every member Y of size k, the mask of vertices v with Y+{v} a member,
@@ -24,13 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graphs import Edge, Graph, UsageError, VertexSet, bits, closed_neighborhood_bits
-from .matching import (
-    AlternatingCycle,
-    Matching,
-    _first_perfect_matching,
-    find_alternating_cycle,
-    has_unique_perfect_matching,
-)
+from .matching import AlternatingCycle, Matching, _perfect_matching_and_cycle
 from .stability import (
     StableSetFamily,
     _has_member,
@@ -197,10 +193,13 @@ def psi_is_greedoid(g: Graph, mode: str = "auto") -> GreedoidVerdict:
 
     ``bruteforce`` checks both axioms on the enumerated family and works on
     any graph.  ``fast`` applies only to very well-covered graphs and
-    decides via the unique-perfect-matching criterion.  ``auto`` picks
-    ``fast`` when the graph is very well-covered.  Verdicts always carry a
-    certificate: the unique perfect matching, or an alternating cycle, an
-    inaccessible member, or an exchange-violating pair.
+    decides via the unique-perfect-matching criterion: it reads the pair
+    (first perfect matching, first alternating cycle) of the one search
+    that ``has_unique_perfect_matching`` also reads.  ``auto`` picks
+    ``fast`` when the graph is very well-covered.  A fast verdict carries
+    the unique perfect matching or an alternating cycle (none when there is
+    no perfect matching); a negative brute-force verdict carries an
+    inaccessible member or an exchange-violating pair.
     """
     from .classifiers import is_very_well_covered
 
@@ -212,21 +211,14 @@ def psi_is_greedoid(g: Graph, mode: str = "auto") -> GreedoidVerdict:
         mode = "fast" if is_very_well_covered(g) else "bruteforce"
 
     if mode == "fast":
-        pm = _first_perfect_matching(g)
+        pm, cyc = _perfect_matching_and_cycle(g)
         if pm is None:
             return GreedoidVerdict(False, "fast")
-        # a perfect matching is the unique one exactly when no alternating
-        # cycle exists, so one search gives both the verdict and its certificate
-        cyc = find_alternating_cycle(g, pm)
         if cyc is None:
             return GreedoidVerdict(True, "fast", unique_matching=pm)
         return GreedoidVerdict(False, "fast", alternating_cycle=cyc)
 
-    return _bruteforce_verdict(g, SetSystem.from_family(psi_enumerate(g, mode="oracle")))
-
-
-def _bruteforce_verdict(g: Graph, f: SetSystem) -> GreedoidVerdict:
-    """The brute-force verdict on f, the already enumerated family of g."""
+    f = SetSystem.from_family(psi_enumerate(g))
     ok, bad = check_accessibility(f)
     if not ok:
         return GreedoidVerdict(False, "bruteforce", inaccessible_member=VertexSet(g, bad))
@@ -236,8 +228,7 @@ def _bruteforce_verdict(g: Graph, f: SetSystem) -> GreedoidVerdict:
         return GreedoidVerdict(
             False, "bruteforce", exchange_violation=(VertexSet(g, x), VertexSet(g, y))
         )
-    unique, witness = has_unique_perfect_matching(g)
-    return GreedoidVerdict(True, "bruteforce", unique_matching=witness if unique else None)
+    return GreedoidVerdict(True, "bruteforce")
 
 
 def matching_from_chains(g: Graph) -> Matching:

@@ -8,7 +8,11 @@ implementation; the enumeration route stays available as an oracle.
 Each matching concept has one search.  ``_perfect_matchings`` walks the
 memoised counter ``_count_perfect_matchings_on`` and yields the first
 perfect matching and all of them; ``_alternating_cycles`` yields the
-first alternating cycle and all of them.
+first alternating cycle and all of them.  The unique-perfect-matching
+question is one search, ``_perfect_matching_and_cycle``: the first perfect
+matching, then the first alternating cycle with respect to it.  Every
+caller (``has_unique_perfect_matching``, the fast greedoid verdict and the
+classification report) reads that one pair.
 
 All enumeration is exhaustive DFS over canonical edge order, exact and
 deterministic at this scale (n <= 16).
@@ -143,8 +147,9 @@ def _check_matching(g: Graph, m: Matching) -> None:
 
 
 @lru_cache(maxsize=1024)
-def _mu_table(g: Graph) -> tuple[int, ...]:
-    """Maximum matching size of the induced subgraph on every vertex mask."""
+def _mu_table(g: Graph) -> bytes:
+    """Maximum matching size of the induced subgraph on every vertex mask,
+    kept as 1 byte each (n <= 16 bounds every value by 8)."""
     table = [0] * (1 << g.n)
     for mask in range(1, 1 << g.n):
         low = mask & -mask
@@ -155,7 +160,7 @@ def _mu_table(g: Graph) -> tuple[int, ...]:
             if cand > best:
                 best = cand
         table[mask] = best
-    return tuple(table)
+    return bytes(table)
 
 
 def mu(g: Graph) -> int:
@@ -326,19 +331,26 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
 
 
 def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
-    """(True, the matching) when exactly one perfect matching exists.
-
-    Finds one perfect matching exhaustively, then asks whether it is
-    uniquely restricted; on a perfect matching that equals uniqueness.
-    """
-    first = _first_perfect_matching(g)
-    if first is not None and is_uniquely_restricted(g, first):
-        return True, first
-    return False, None
+    """(True, the matching) when exactly one perfect matching exists."""
+    pm, cyc = _perfect_matching_and_cycle(g)
+    unique = pm is not None and cyc is None
+    return unique, pm if unique else None
 
 
 def _first_perfect_matching(g: Graph) -> Matching | None:
     return next(_perfect_matchings(g, g.full_mask, {}, []), None)
+
+
+def _perfect_matching_and_cycle(
+    g: Graph,
+) -> tuple[Matching | None, AlternatingCycle | None]:
+    """The unique-perfect-matching search: the first perfect matching of g
+    (None when there is none) and the first alternating cycle with respect
+    to it.  A perfect matching is uniquely restricted exactly when it is
+    the only perfect matching, so g has a unique perfect matching exactly
+    when the matching is present and the cycle is None."""
+    pm = _first_perfect_matching(g)
+    return pm, None if pm is None else find_alternating_cycle(g, pm)
 
 
 def find_alternating_c4(g: Graph, m: Matching) -> AlternatingCycle | None:

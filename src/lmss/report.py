@@ -13,9 +13,9 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .graphs import Graph, VertexSet, girth, parse_edge_list
+from .graphs import Graph, bits, girth, parse_edge_list
 from .stability import alpha, psi_enumerate
-from .matching import count_perfect_matchings, has_unique_perfect_matching, mu
+from .matching import _perfect_matching_and_cycle, count_perfect_matchings, mu
 from .classifiers import (
     is_c4_free,
     is_koenig_egervary,
@@ -23,7 +23,7 @@ from .classifiers import (
     is_very_well_covered,
     is_well_covered,
 )
-from .greedoid import SetSystem, _bruteforce_verdict, check_exchange, psi_is_greedoid
+from .greedoid import SetSystem, check_accessibility, check_exchange
 
 SCHEMA_VERSION = 1
 
@@ -132,10 +132,6 @@ class ClassificationReport:
         return cls.from_dict(json.loads(text))
 
 
-def _vertex_list(s) -> list[int]:
-    return list(s.vertices())
-
-
 def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
     """Compute every predicate, certificate and timing for one graph."""
     clock: dict[str, float] = {}
@@ -155,35 +151,31 @@ def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
     tf = timed("triangle_free", lambda: is_triangle_free(g))
     c4f = timed("c4_free", lambda: is_c4_free(g))
     pm_count = timed("perfect_matching_count", lambda: count_perfect_matchings(g))
-    unique, witness = timed("unique_perfect_matching", lambda: has_unique_perfect_matching(g))
-    family = timed("psi_enumerate", lambda: psi_enumerate(g, mode="oracle"))
+    # one search answers uniqueness and, on very well-covered graphs, the fast
+    # greedoid verdict with its alternating-cycle certificate
+    pm, cyc = timed("unique_perfect_matching", lambda: _perfect_matching_and_cycle(g))
+    unique = pm is not None and cyc is None
+    family = timed("psi_enumerate", lambda: psi_enumerate(g))
     system = SetSystem.from_family(family)
-    brute = timed("psi_greedoid_bruteforce", lambda: _bruteforce_verdict(g, system))
-    access_bad = brute.inaccessible_member
-    exchange_bad = brute.exchange_violation
-    if access_bad is not None:
-        # the verdict stops at the first failed axiom; exchange is still reported
-        ok, pair = timed("exchange", lambda: check_exchange(system))
-        if not ok:
-            exchange_bad = (VertexSet(g, pair[0]), VertexSet(g, pair[1]))
-    fast = timed("psi_greedoid_fast", lambda: psi_is_greedoid(g, mode="fast") if vwc else None)
-    auto = fast if fast is not None else brute
+    access_ok, access_bad = timed("accessibility", lambda: check_accessibility(system))
+    exchange_ok, exchange_bad = timed("exchange", lambda: check_exchange(system))
+    brute = access_ok and exchange_ok
+    fast = unique if vwc else None
 
     certificates: dict = {}
-    if witness is not None:
-        certificates["unique_perfect_matching"] = [f"{u}-{v}" for u, v in witness.edges]
+    if unique:
+        certificates["unique_perfect_matching"] = [f"{u}-{v}" for u, v in pm.edges]
     if access_bad is not None:
-        certificates["inaccessible_member"] = _vertex_list(access_bad)
+        certificates["inaccessible_member"] = list(bits(access_bad))
     if exchange_bad is not None:
         certificates["exchange_violation"] = {
-            "x": _vertex_list(exchange_bad[0]),
-            "y": _vertex_list(exchange_bad[1]),
+            "x": list(bits(exchange_bad[0])),
+            "y": list(bits(exchange_bad[1])),
         }
-    verdict = auto
-    if verdict.alternating_cycle is not None:
+    if vwc and cyc is not None:
         certificates["alternating_cycle"] = {
-            "vertices": list(verdict.alternating_cycle.vertices),
-            "in_matching": list(verdict.alternating_cycle.in_matching),
+            "vertices": list(cyc.vertices),
+            "in_matching": list(cyc.in_matching),
         }
 
     return ClassificationReport(
@@ -202,11 +194,11 @@ def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
         perfect_matching_count=pm_count,
         unique_perfect_matching=unique,
         psi_size=len(family),
-        accessibility=access_bad is None,
-        exchange=exchange_bad is None,
-        psi_greedoid_bruteforce=brute.holds,
-        psi_greedoid_fast=fast.holds if fast is not None else None,
-        psi_greedoid_auto=auto.holds,
+        accessibility=access_ok,
+        exchange=exchange_ok,
+        psi_greedoid_bruteforce=brute,
+        psi_greedoid_fast=fast,
+        psi_greedoid_auto=brute if fast is None else fast,
         certificates=certificates,
         timings_ms=clock,
     )

@@ -4,10 +4,11 @@ A set S is a *local maximum stable set* when S is a maximum stable set of
 the subgraph induced by its closed neighbourhood N[S].  The family of all
 such sets (written ``psi`` here) always contains the empty set.
 
-Two routes compute membership: the definitional oracle (stability number
-of the induced neighbourhood subgraph) and, for very well-covered graphs
-only, the counting shortcut |S| = |N(S)|.  They must agree wherever the
-shortcut applies; the test suite enforces that.
+The family has one route, the definition: S is stable and |S| is the
+stability number of the subgraph induced by N[S], read from the subset
+table of alpha.  The counting shortcut |S| = |N(S)| the paper licenses for
+very well-covered graphs lives only in ``psi_member_vwc``; rule lem3 and
+the test suite check it against the definition.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from .graphs import (
 
 
 @lru_cache(maxsize=1024)
-def _alpha_table(g: Graph) -> tuple[int, ...]:
-    """alpha of the induced subgraph on every vertex mask, by subset DP.
+def _alpha_table(g: Graph) -> bytes:
+    """alpha of the induced subgraph on every vertex mask, by subset DP,
+    kept as 1 byte each (n <= 16 bounds every value by 16).  The DP fills a
+    list, whose item writes are faster than a bytearray's.
 
     For the lowest vertex v of a mask: either v stays out (drop v) or v
     goes in (drop its closed neighbourhood).
@@ -43,7 +46,7 @@ def _alpha_table(g: Graph) -> tuple[int, ...]:
         without = table[mask ^ low]
         with_v = 1 + table[mask & ~closed[v]]
         table[mask] = with_v if with_v > without else without
-    return tuple(table)
+    return bytes(table)
 
 
 @lru_cache(maxsize=1024)
@@ -144,31 +147,14 @@ def psi_member_vwc(g: Graph, s: VertexSet) -> bool:
     return mask.bit_count() == neighborhood_bits(g, mask).bit_count()
 
 
-def psi_enumerate(g: Graph, mode: str = "auto") -> StableSetFamily:
-    """The family of all local maximum stable sets, empty set included.
-
-    ``mode="oracle"`` always evaluates the definition; ``mode="auto"``
-    switches to the |S| = |N(S)| test when the graph is very well-covered.
-    Both return identical families.
-    """
-    if mode not in ("oracle", "auto"):
-        raise UsageError(f"unknown mode {mode!r}")
+def psi_enumerate(g: Graph) -> StableSetFamily:
+    """The family of all local maximum stable sets, empty set included."""
     stable = _stable_table(g)
-    fast = False
-    if mode == "auto":
-        from .classifiers import is_very_well_covered
-
-        fast = is_very_well_covered(g)
+    table = _alpha_table(g)
     members = []
-    if fast:
-        for mask in range(1 << g.n):
-            if stable[mask] and mask.bit_count() == neighborhood_bits(g, mask).bit_count():
-                members.append(mask)
-    else:
-        table = _alpha_table(g)
-        for mask in range(1 << g.n):
-            if stable[mask] and mask.bit_count() == table[closed_neighborhood_bits(g, mask)]:
-                members.append(mask)
+    for mask in range(1 << g.n):
+        if stable[mask] and mask.bit_count() == table[closed_neighborhood_bits(g, mask)]:
+            members.append(mask)
     return StableSetFamily(g, tuple(members))
 
 

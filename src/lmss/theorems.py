@@ -94,7 +94,7 @@ def _unique_pm_of_saturated(g: Graph, m: Matching, memo: dict[int, int]) -> bool
 def _check_th1(item: CorpusItem) -> list[Violation]:
     g = item.graph
     out = []
-    for s in psi_enumerate(g, mode="oracle"):
+    for s in psi_enumerate(g):
         if extends_to_maximum(g, s) is None:
             out.append(_violation("th1", item, f"{s!r} extends to no maximum stable set"))
     return out
@@ -153,7 +153,7 @@ def _check_th4(item: CorpusItem) -> list[Violation]:
 
 def _check_th7(item: CorpusItem) -> list[Violation]:
     g = item.graph
-    f = SetSystem.from_family(psi_enumerate(g, mode="oracle"))
+    f = SetSystem.from_family(psi_enumerate(g))
     if check_accessibility(f)[0] and not check_exchange(f)[0]:
         return [_violation("th7", item, "family is accessible but fails exchange")]
     return []
@@ -298,7 +298,7 @@ def _check_lem65(item: CorpusItem) -> list[Violation]:
         return []
     out = []
     stable = _stable_table(g)
-    for bmask in psi_enumerate(g, mode="oracle").members:
+    for bmask in psi_enumerate(g).members:
         for v in bits(g.full_mask & ~bmask):
             amask = bmask | 1 << v
             if not stable[amask]:
@@ -432,19 +432,28 @@ class VerificationSummary:
 
 
 def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
-    """Run the named rules over the corpus; violations keep corpus order.
-    An empty corpus is a usage error, since it would pass every rule."""
+    """Run the named rules over the corpus, item-major: every rule checks
+    one item before the next item starts, so the per-graph caches built for
+    one rule serve the others.  Reports keep the requested order and
+    violations keep corpus order.  Every rule name is validated before the
+    corpus is built; an empty corpus is a usage error, since it would pass
+    every rule."""
+    rules = []
     for name in rule_names:
-        if name not in RULES:
+        rule = RULES.get(name)
+        if rule is None:
             raise UsageError(f"unknown rule {name!r}")
+        if rule.needs_corona and spec.source != "coronas":
+            raise UsageError(f"rule {name!r} needs a corona corpus")
+        rules.append(rule)
     items = iter_corpus(spec)
     if not items:
         raise UsageError("the corpus is empty: no graph to check")
-    reports = []
-    for name in rule_names:
-        rule = RULES[name]
-        if rule.needs_corona and spec.source != "coronas":
-            raise UsageError(f"rule {name!r} needs a corona corpus")
-        violations = tuple(v for it in items for v in rule.check(it))
-        reports.append(RuleReport(name, len(items), violations))
-    return VerificationSummary(spec, tuple(reports))
+    found: list[list[Violation]] = [[] for _ in rules]
+    for it in items:
+        for rule, out in zip(rules, found):
+            out.extend(rule.check(it))
+    reports = tuple(
+        RuleReport(name, len(items), tuple(out)) for name, out in zip(rule_names, found)
+    )
+    return VerificationSummary(spec, reports)

@@ -25,7 +25,7 @@ from lmss.theorems import _check_th7
 
 
 def psi_system(g):
-    return SetSystem.from_family(psi_enumerate(g, mode="oracle"))
+    return SetSystem.from_family(psi_enumerate(g))
 
 
 def test_set_system_validation():
@@ -84,7 +84,9 @@ def test_psi_is_greedoid_modes_and_certificates():
     v = psi_is_greedoid(f8, mode="auto")
     assert v.holds and v.mode == "fast"
     assert v.unique_matching == has_unique_perfect_matching(f8)[1]
-    assert psi_is_greedoid(f8, mode="bruteforce").holds
+    v = psi_is_greedoid(f8, mode="bruteforce")
+    assert v.holds and v.mode == "bruteforce"
+    assert v.unique_matching is None  # positive brute-force verdicts carry no certificate
 
     v = psi_is_greedoid(fixture("fig8_G2"))
     assert not v.holds and v.alternating_cycle is not None

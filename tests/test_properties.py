@@ -105,8 +105,9 @@ def test_canonical_key_invariant_under_relabeling(g, seed):
 
 @given(graphs(max_n=7))
 @settings(max_examples=60)
-def test_psi_modes_agree(g):
-    assert psi_enumerate(g, "auto").members == psi_enumerate(g, "oracle").members
+def test_psi_enumerate_against_oracle(g):
+    family = {frozenset(s.vertices()) for s in psi_enumerate(g)}
+    assert family == oracles.psi(g.n, oracles.edges_of(g))
 
 
 @given(graphs(max_n=7))

@@ -1,11 +1,18 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import lmss
 from lmss import analyze_graph, complete, cycle, fixture, serialize
+from lmss.fixtures import fixture_names
 from lmss.report import ClassificationReport, render_text
+
+# sha256 of every fixture's and every connected n <= 6 graph's report, timings
+# removed, certificates included (see test_analyze_reports_pinned)
+ANALYZE_DIGEST = "00e4c47d19f65c5bfb9de2eeffaa7b6e27602df46651772edaef05d7176e0c63"
 
 
 def run_cli(*args, stdin=None):
@@ -32,6 +39,38 @@ def test_analyze_fixture_reports():
 
     r = analyze_graph(complete(1))
     assert r.alpha == 1 and r.mu == 0 and r.psi_greedoid_auto
+
+
+def test_analyze_reports_pinned(connected_upto_6):
+    graphs = [(name, fixture(name)) for name in fixture_names()]
+    graphs += [(None, g) for g in connected_upto_6]
+    digest = hashlib.sha256()
+    for name, g in graphs:
+        data = analyze_graph(g, name=name).to_dict()
+        del data["timings_ms"]
+        digest.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+    assert len(graphs) == 164
+    assert digest.hexdigest() == ANALYZE_DIGEST
+
+
+def test_analyze_runs_one_unique_matching_search(monkeypatch):
+    # count first-perfect-matching searches wherever a module binds the function
+    original = lmss.matching._first_perfect_matching
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("lmss"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    for name in ("fig8_G1", "fig8_G2"):
+        calls.clear()
+        analyze_graph(fixture(name), name=name)
+        assert len(calls) == 1, name
 
 
 def test_report_json_roundtrip():

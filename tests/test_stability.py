@@ -117,14 +117,9 @@ def test_psi_enumerate_examples():
     assert fam_as_sets(psi_enumerate(k1)) == {frozenset(), frozenset({0})}
 
 
-def test_psi_enumerate_matches_oracle_and_modes(connected_upto_6):
+def test_psi_enumerate_matches_oracle(connected_upto_6):
     for g in connected_upto_6:
-        fam_auto = psi_enumerate(g, mode="auto")
-        fam_oracle = psi_enumerate(g, mode="oracle")
-        assert fam_auto.members == fam_oracle.members
-        assert fam_as_sets(fam_oracle) == oracles.psi(g.n, oracles.edges_of(g))
-    with pytest.raises(UsageError):
-        psi_enumerate(cycle(4), mode="fast")
+        assert fam_as_sets(psi_enumerate(g)) == oracles.psi(g.n, oracles.edges_of(g))
 
 
 def test_psi_members_ascending_and_distinct():

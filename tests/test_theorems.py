@@ -1,7 +1,8 @@
 import pytest
 
 from lmss import CorpusSpec, UsageError, corona, complete, cycle, verify
-from lmss.corpus import CorpusItem
+from lmss.corpus import CorpusItem, iter_corpus
+from lmss.stability import _alpha_table
 from lmss.theorems import RULES, _check_th10iv
 
 
@@ -58,6 +59,51 @@ def test_violations_propagate_and_serialise(monkeypatch):
     data = summary.to_dict()
     assert data["pass"] is False
     assert data["rules"][0]["violations"][0]["detail"] == "forced"
+
+
+def test_verify_validates_every_rule_before_running_any(monkeypatch):
+    from lmss import theorems
+
+    calls = []
+    th7 = theorems.RULES["th7"]
+    counting = theorems.Rule(
+        "th7", th7.describe, th7.needs_corona, lambda item: calls.append(item) or []
+    )
+    monkeypatch.setitem(theorems.RULES, "th7", counting)
+    spec = CorpusSpec(source="fixtures", fixtures=("fig8_G1", "fig8_G2"))
+    with pytest.raises(UsageError, match="corona"):
+        verify(spec, ["th7", "th10iv"])
+    assert calls == []
+
+
+def test_verify_item_major_builds_each_alpha_table_once():
+    # 1,100 draws holding 1,092 distinct graphs: more than the 1,024 entries of
+    # the table cache, so a rule-major sweep would rebuild the tables per rule
+    spec = CorpusSpec(source="random", count=1100, n=7, edge_probability=0.3, seed=1)
+    distinct = len({item.graph for item in iter_corpus(spec)})
+    assert distinct == 1092
+    _alpha_table.cache_clear()
+    assert verify(spec, ["th7", "th1"]).passed
+    assert _alpha_table.cache_info().misses == distinct
+
+
+def test_multi_rule_reports_equal_single_rule_reports(monkeypatch):
+    from lmss import theorems
+
+    # a rule with violations pins their corpus order inside a multi-rule run
+    odd = theorems.Rule(
+        "odd", "flags graphs with an odd edge count", False,
+        lambda item: [theorems._violation("odd", item, "odd")]
+        if len(item.graph.edges()) % 2 else [],
+    )
+    monkeypatch.setitem(theorems.RULES, "odd", odd)
+    spec = CorpusSpec(source="exhaustive", max_n=5)
+    names = ["th8", "odd", "th1", "lem3", "odd", "th7"]
+    multi = verify(spec, names)
+    assert [r.rule for r in multi.reports] == names
+    assert multi.total_violations == 2 * len(verify(spec, ["odd"]).reports[0].violations) > 0
+    for name, report in zip(names, multi.reports):
+        assert report == verify(spec, [name]).reports[0]
 
 
 def test_verify_rejects_empty_corpus():
