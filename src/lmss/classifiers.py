@@ -1,7 +1,9 @@
 """Graph-class predicates: well-covered, very well-covered, Koenig-Egervary, etc.
 
-All predicates are exact, computed by exhaustive scans over vertex masks,
-and cached per graph (graphs are immutable values).
+All predicates are exact.  Well-coveredness reads the maximal stable sets
+off the stable-set walk of ``stability``; the others test the definition
+directly.  The well-covered predicates are cached per graph (graphs are
+immutable values).
 """
 
 from __future__ import annotations
@@ -17,18 +19,12 @@ from .graphs import (
     girth,
 )
 from .matching import _mu_table, mu
-from .stability import _alpha_table, _stable_table, alpha, psi_enumerate
+from .stability import _alpha_table, _stable_sets, alpha, psi_enumerate
 
 
 def maximal_stable_sets(g: Graph) -> list[int]:
     """All inclusion-wise maximal stable sets, as masks in ascending order."""
-    stable = _stable_table(g)
-    full = g.full_mask
-    out = []
-    for mask in range(1 << g.n):
-        if stable[mask] and closed_neighborhood_bits(g, mask) == full:
-            out.append(mask)
-    return out
+    return [s for s, c in _stable_sets(g) if c == g.full_mask]
 
 
 @lru_cache(maxsize=1024)

@@ -4,11 +4,18 @@ A set S is a *local maximum stable set* when S is a maximum stable set of
 the subgraph induced by its closed neighbourhood N[S].  The family of all
 such sets (written ``psi`` here) always contains the empty set.
 
-The family has one route, the definition: S is stable and |S| is the
-stability number of the subgraph induced by N[S], read from the subset
-table of alpha.  The counting shortcut |S| = |N(S)| the paper licenses for
-very well-covered graphs lives only in ``psi_member_vwc``; rule lem3 and
-the test suite check it against the definition.
+Every stable-set family is read off one walk, ``_stable_sets``, which
+lists each stable set S together with N[S], in ascending mask order:
+
+* psi (``psi_enumerate``) keeps S with |S| = alpha(G[N[S]]), read from the
+  subset table of alpha: the definition;
+* the maximum stable sets (``omega_enumerate``) keep |S| = alpha(G);
+* the maximal stable sets (``classifiers.maximal_stable_sets``) keep
+  N[S] = V.
+
+The counting shortcut |S| = |N(S)| the paper licenses for very
+well-covered graphs lives only in ``psi_member_vwc``; rule lem3 and the
+test suite check it against the definition.
 """
 
 from __future__ import annotations
@@ -49,16 +56,22 @@ def _alpha_table(g: Graph) -> bytes:
     return bytes(table)
 
 
-@lru_cache(maxsize=1024)
-def _stable_table(g: Graph) -> bytes:
-    """stable[mask] flag for every vertex mask (1 byte each)."""
-    table = bytearray(1 << g.n)
-    table[0] = 1
-    for mask in range(1, 1 << g.n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        table[mask] = table[mask ^ low] and not g.adj[v] & mask
-    return bytes(table)
+def _stable_sets(g: Graph) -> list[tuple[int, int]]:
+    """Every stable set S of g with its closed neighbourhood, as ``(S, N[S])``
+    mask pairs in ascending order of S.
+
+    Built by top-vertex doubling: before vertex v the list holds every
+    stable set on vertices below v; each of those that misses N(v) gains v.
+    A set whose top vertex is v is larger than every set on lower vertices,
+    and the appended pairs keep the order of their sources, so the list is
+    ascending with no sort.
+    """
+    walk = [(0, 0)]
+    for v, nbrs in enumerate(g.adj):
+        bit = 1 << v
+        closed = nbrs | bit
+        walk += [(s | bit, c | closed) for s, c in walk if not s & nbrs]
+    return walk
 
 
 def is_stable(g: Graph, s: VertexSet) -> bool:
@@ -112,11 +125,7 @@ class StableSetFamily:
 def omega_enumerate(g: Graph) -> StableSetFamily:
     """All maximum stable sets of g."""
     a = alpha(g)
-    stable = _stable_table(g)
-    members = tuple(
-        m for m in range(1 << g.n) if m.bit_count() == a and stable[m]
-    )
-    return StableSetFamily(g, members)
+    return StableSetFamily(g, tuple(s for s, _ in _stable_sets(g) if s.bit_count() == a))
 
 
 def psi_member_oracle(g: Graph, s: VertexSet) -> bool:
@@ -149,13 +158,10 @@ def psi_member_vwc(g: Graph, s: VertexSet) -> bool:
 
 def psi_enumerate(g: Graph) -> StableSetFamily:
     """The family of all local maximum stable sets, empty set included."""
-    stable = _stable_table(g)
     table = _alpha_table(g)
-    members = []
-    for mask in range(1 << g.n):
-        if stable[mask] and mask.bit_count() == table[closed_neighborhood_bits(g, mask)]:
-            members.append(mask)
-    return StableSetFamily(g, tuple(members))
+    return StableSetFamily(
+        g, tuple(s for s, c in _stable_sets(g) if s.bit_count() == table[c])
+    )
 
 
 def extends_to_maximum(g: Graph, s: VertexSet) -> VertexSet | None:
@@ -167,10 +173,8 @@ def extends_to_maximum(g: Graph, s: VertexSet) -> VertexSet | None:
     mask = require_member(g, s)
     if not _psi_member_bits(g, mask):
         raise UsageError("extends_to_maximum needs a local maximum stable set")
-    a = alpha(g)
-    stable = _stable_table(g)
-    for m in range(1 << g.n):
-        if stable[m] and m.bit_count() == a and mask & ~m == 0:
+    for m in omega_enumerate(g).members:
+        if mask & ~m == 0:
             return VertexSet(g, m)
     return None
 

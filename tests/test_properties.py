@@ -1,9 +1,11 @@
 """Property tests: structural laws on random graphs, plus corpus sweeps for
 the girth-based structure statements that only make sense over a corpus."""
 
+import ast
 import random
+from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lmss import (
@@ -23,14 +25,17 @@ from lmss import (
     has_pendant_perfect_matching,
     is_very_well_covered,
     is_well_covered,
+    maximal_stable_sets,
     mu,
     neighborhood,
+    omega_enumerate,
     parse_edge_list,
     path,
     psi_enumerate,
     serialize,
 )
 from lmss.corpus import connected_graphs_upto, nonisomorphic_graphs
+from lmss.stability import _stable_sets
 
 
 @st.composite
@@ -103,11 +108,50 @@ def test_canonical_key_invariant_under_relabeling(g, seed):
     assert canonical_key(relabeled) == canonical_key(g)
 
 
+def _mask(s):
+    return sum(1 << v for v in s)
+
+
+def _ascending_masks(family):
+    return sorted(_mask(s) for s in family)
+
+
+@given(graphs(max_n=7))
+@example(Graph.from_edges(0, []))
+@example(Graph.from_edges(6, []))
+@example(Graph.from_edges(7, [(0, 3), (3, 5), (1, 6), (2, 4)]))
+@settings(max_examples=60)
+def test_stable_set_walk_against_definition(g):
+    adj = oracles.adj_sets(g.n, oracles.edges_of(g))
+    expected = sorted(
+        (_mask(s), _mask(oracles.closed(adj, s)))
+        for s in oracles.all_subsets(range(g.n))
+        if oracles.is_stable(adj, s)
+    )
+    assert _stable_sets(g) == expected
+
+
 @given(graphs(max_n=7))
 @settings(max_examples=60)
 def test_psi_enumerate_against_oracle(g):
+    e = oracles.edges_of(g)
     family = {frozenset(s.vertices()) for s in psi_enumerate(g)}
-    assert family == oracles.psi(g.n, oracles.edges_of(g))
+    assert family == oracles.psi(g.n, e)
+    assert list(omega_enumerate(g).members) == _ascending_masks(
+        oracles.maximum_stable_sets(g.n, e)
+    )
+    assert maximal_stable_sets(g) == _ascending_masks(oracles.maximal_stable_sets(g.n, e))
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert not [m for m in imported if m == "lmss" or m.startswith("lmss.")], imported
 
 
 @given(graphs(max_n=7))
