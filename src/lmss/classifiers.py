@@ -18,7 +18,7 @@ from .graphs import (
     closed_neighborhood_bits,
     girth,
 )
-from .matching import _mu_table, mu
+from .matching import _mu_on, mu
 from .stability import _alpha_table, _stable_sets, alpha, psi_enumerate
 
 
@@ -115,9 +115,9 @@ def psi_neighborhoods_are_ke(g: Graph) -> tuple[bool, VertexSet | None]:
     Returns the first violating set (ascending mask order) when not.
     """
     atab = _alpha_table(g)
-    mtab = _mu_table(g)
+    memo: dict[int, int] = {}
     for m in psi_enumerate(g).members:
         closed = closed_neighborhood_bits(g, m)
-        if atab[closed] + mtab[closed] != closed.bit_count():
+        if atab[closed] + _mu_on(g, closed, memo) != closed.bit_count():
             return False, VertexSet(g, m)
     return True, None

@@ -5,13 +5,18 @@ of the subgraph induced by the vertices it saturates; equivalently, when
 the graph has no M-alternating cycle.  The alternating-cycle route is the
 implementation; the enumeration route stays available as an oracle.
 
-Each matching concept has one search.  ``_perfect_matchings`` walks the
-memoised counter ``_count_perfect_matchings_on`` and yields the first
-perfect matching and all of them; ``_alternating_cycles`` yields the
-first alternating cycle and all of them.  The unique-perfect-matching
-question is one search, ``_perfect_matching_and_cycle``: the first perfect
-matching, then the first alternating cycle with respect to it.  Every
-caller (``has_unique_perfect_matching``, the fast greedoid verdict and the
+Each matching concept has one search.  Two memoised recursions on the
+free-vertex mask answer the numeric questions: ``_mu_on`` gives the size
+of a maximum matching and ``_count_perfect_matchings_on`` the number of
+perfect matchings.  One walk, ``_matchings``, pruned by ``_mu_on``, lists
+the matchings of one size: all maximum ones, all perfect ones, and the
+first perfect one.  The counter only counts, so the check that a unique
+perfect matching is the only one counted shares no code with the walk
+that found it.  ``_alternating_cycles`` yields the first alternating cycle
+and all of them.  The unique-perfect-matching question is one search,
+``_perfect_matching_and_cycle``: the first perfect matching, then the
+first alternating cycle with respect to it.  Every caller
+(``has_unique_perfect_matching``, the fast greedoid verdict and the
 classification report) reads that one pair.
 
 All enumeration is exhaustive DFS over canonical edge order, exact and
@@ -21,7 +26,6 @@ deterministic at this scale (n <= 16).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import (
     Edge,
@@ -146,26 +150,44 @@ def _check_matching(g: Graph, m: Matching) -> None:
         raise MismatchError("matching does not belong to this graph")
 
 
-@lru_cache(maxsize=1024)
-def _mu_table(g: Graph) -> bytes:
-    """Maximum matching size of the induced subgraph on every vertex mask,
-    kept as 1 byte each (n <= 16 bounds every value by 8)."""
-    table = [0] * (1 << g.n)
-    for mask in range(1, 1 << g.n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        best = table[mask ^ low]
-        for u in bits(g.adj[v] & mask):
-            cand = 1 + table[mask ^ low ^ (1 << u)]
-            if cand > best:
-                best = cand
-        table[mask] = best
-    return bytes(table)
-
-
 def mu(g: Graph) -> int:
     """Size of a maximum matching."""
-    return _mu_table(g)[g.full_mask]
+    return _mu_on(g, g.full_mask, {})
+
+
+def _mu_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
+    """Maximum matching size of the subgraph induced by ``avail``.
+
+    The lowest free vertex is matched to each free neighbour in turn, then
+    left unmatched.  The search stops once it reaches
+    ``avail.bit_count() // 2``, which no matching exceeds, and leaves the
+    vertex unmatched only while the other ``avail.bit_count() - 1``
+    vertices could still hold a larger matching.  ``memo`` maps free-vertex
+    masks to sizes; it is valid for one graph only, and every mask of that
+    graph may share it.
+    """
+    free = avail.bit_count()
+    if free < 2:
+        return 0
+    got = memo.get(avail)
+    if got is not None:
+        return got
+    low = avail & -avail
+    rest = g.adj[low.bit_length() - 1] & avail
+    best = 0
+    cap = free // 2
+    while rest and best < cap:
+        u = rest & -rest
+        cand = 1 + _mu_on(g, avail ^ low ^ u, memo)
+        if cand > best:
+            best = cand
+        rest ^= u
+    if best < (free - 1) // 2:
+        cand = _mu_on(g, avail ^ low, memo)
+        if cand > best:
+            best = cand
+    memo[avail] = best
+    return best
 
 
 def enumerate_matchings(g: Graph) -> list[Matching]:
@@ -190,33 +212,12 @@ def enumerate_matchings(g: Graph) -> list[Matching]:
 
 def enumerate_maximum_matchings(g: Graph) -> list[Matching]:
     """All maximum matchings, in lexicographic edge order, no duplicates."""
-    target = mu(g)
-    table = _mu_table(g)
-    out: list[Matching] = []
-
-    def grow(avail: int, chosen: list[Edge], need: int):
-        if need == 0:
-            out.append(Matching(g, tuple(chosen)))
-            return
-        low = avail & -avail
-        v = low.bit_length() - 1
-        # v left unmatched
-        if table[avail ^ low] >= need:
-            grow(avail ^ low, chosen, need)
-        for u in bits(g.adj[v] & avail):
-            rest = avail ^ low ^ (1 << u)
-            if table[rest] >= need - 1:
-                chosen.append(Edge(v, u))
-                grow(rest, chosen, need - 1)
-                chosen.pop()
-
-    grow(g.full_mask, [], target)
-    return sorted(out, key=lambda m: m.edges)
+    return list(_matchings(g, mu(g)))
 
 
 def enumerate_perfect_matchings(g: Graph) -> list[Matching]:
     """All perfect matchings, in lexicographic edge order."""
-    return list(_perfect_matchings(g, g.full_mask, {}, []))
+    return [] if g.n % 2 else list(_matchings(g, g.n // 2))
 
 
 def count_perfect_matchings(g: Graph) -> int:
@@ -249,24 +250,45 @@ def _count_perfect_matchings_on(g: Graph, avail: int, memo: dict[int, int]) -> i
     return total
 
 
-def _perfect_matchings(g: Graph, avail: int, memo: dict[int, int], chosen: list[Edge]):
-    """Perfect matchings on ``avail`` extending ``chosen``, in lexicographic
-    edge order: the counter's recursion, entering only masks whose count is
-    non-zero, so the walk never backtracks."""
-    if not avail:
-        yield Matching(g, tuple(chosen))
-        return
-    low = avail & -avail
-    v = low.bit_length() - 1
-    rest = g.adj[v] & avail
-    while rest:
-        u = rest & -rest
-        sub = avail ^ low ^ u
-        if _count_perfect_matchings_on(g, sub, memo):
-            chosen.append(Edge(v, u.bit_length() - 1))
-            yield from _perfect_matchings(g, sub, memo, chosen)
-            chosen.pop()
-        rest ^= u
+def _matchings(g: Graph, size: int):
+    """Every matching of g with ``size`` edges, in lexicographic edge order.
+
+    The walk matches the lowest free vertex v to each free neighbour in
+    ascending order, then leaves v unmatched, and enters only masks whose
+    ``_mu_on`` still allows the edges it needs, so it never backtracks.
+
+    The order is lexicographic without a sort.  Two matchings agree up to
+    the branch point where they part, at some lowest free vertex v.  There
+    the earlier one took (v, u) with the smaller u, or took (v, u) while
+    the later one left v unmatched, so that the later one's next edge
+    starts after v.  Every matching yielded has ``size`` edges, so neither
+    is a prefix of the other, and the earlier one has the smaller edge at
+    the first position where they differ.
+    """
+    memo: dict[int, int] = {}
+    chosen: list[Edge] = []
+
+    def walk(avail: int, need: int):
+        if not need:
+            yield Matching(g, tuple(chosen))
+            return
+        low = avail & -avail
+        v = low.bit_length() - 1
+        rest = g.adj[v] & avail
+        while rest:
+            u = rest & -rest
+            sub = avail ^ low ^ u
+            if _mu_on(g, sub, memo) >= need - 1:
+                chosen.append(Edge(v, u.bit_length() - 1))
+                yield from walk(sub, need - 1)
+                chosen.pop()
+            rest ^= u
+        # with 2 * need free vertices left, v must be matched
+        if 2 * need < avail.bit_count() and _mu_on(g, avail ^ low, memo) >= need:
+            yield from walk(avail ^ low, need)
+
+    if _mu_on(g, g.full_mask, memo) >= size:
+        yield from walk(g.full_mask, size)
 
 
 def _alternating_cycles(g: Graph, m: Matching):
@@ -338,7 +360,7 @@ def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
 
 
 def _first_perfect_matching(g: Graph) -> Matching | None:
-    return next(_perfect_matchings(g, g.full_mask, {}, []), None)
+    return None if g.n % 2 else next(_matchings(g, g.n // 2), None)
 
 
 def _perfect_matching_and_cycle(

@@ -25,7 +25,6 @@ from .stability import (
     _stable_sets,
     alpha,
     check_chain_growth,
-    extends_to_maximum,
     omega_enumerate,
     psi_enumerate,
     psi_member_vwc,
@@ -93,11 +92,12 @@ def _unique_pm_of_saturated(g: Graph, m: Matching, memo: dict[int, int]) -> bool
 
 def _check_th1(item: CorpusItem) -> list[Violation]:
     g = item.graph
-    out = []
-    for s in psi_enumerate(g):
-        if extends_to_maximum(g, s) is None:
-            out.append(_violation("th1", item, f"{s!r} extends to no maximum stable set"))
-    return out
+    omega = omega_enumerate(g).members
+    return [
+        _violation("th1", item, f"{VertexSet(g, s)!r} extends to no maximum stable set")
+        for s in psi_enumerate(g).members
+        if all(s & ~m for m in omega)
+    ]
 
 
 def _check_th2(item: CorpusItem) -> list[Violation]:

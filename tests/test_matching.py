@@ -22,7 +22,7 @@ from lmss import (
     path,
     pm_edge_cycle_exclusion,
 )
-from lmss.fixtures import fixture, named_edges
+from lmss.fixtures import fixture, fixture_names, named_edges
 from lmss.graphs import induced_subgraph
 from lmss.matching import _count_perfect_matchings_on
 
@@ -78,8 +78,9 @@ def test_enumerations_against_oracle(connected_upto_6):
         want_all = {frozenset(m) for m in oracles.all_matchings(e)}
         got_all = {frozenset(tuple(x) for x in m.edges) for m in enumerate_matchings(g)}
         assert got_all == want_all
-        want_max = {frozenset(m) for m in oracles.maximum_matchings(g.n, e)}
-        got_max = {frozenset(tuple(x) for x in m.edges) for m in enumerate_maximum_matchings(g)}
+        # the walk's own order, no sort behind it, must be lexicographic
+        want_max = sorted(tuple(sorted(m)) for m in oracles.maximum_matchings(g.n, e))
+        got_max = [tuple(tuple(x) for x in m.edges) for m in enumerate_maximum_matchings(g)]
         assert got_max == want_max
         assert count_perfect_matchings(g) == len(oracles.perfect_matchings(g.n, e))
 
@@ -179,6 +180,21 @@ def test_has_unique_perfect_matching():
 def test_unique_pm_agrees_with_count(connected_upto_6):
     for g in connected_upto_6:
         assert has_unique_perfect_matching(g)[0] == (count_perfect_matchings(g) == 1)
+
+
+def test_unique_perfect_matching_search_never_counts(patch_lmss):
+    # th8 checks the search against count_perfect_matchings, so the search
+    # must not lean on the counter
+    calls = []
+
+    def counting(g, avail, memo):
+        calls.append(avail)
+        return _count_perfect_matchings_on(g, avail, memo)
+
+    patch_lmss(_count_perfect_matchings_on, counting)
+    for name in fixture_names():
+        has_unique_perfect_matching(fixture(name))
+    assert calls == []
 
 
 def test_saturated_mask_count_agrees_with_induced_subgraph(connected_upto_6):

@@ -35,6 +35,7 @@ from lmss import (
     serialize,
 )
 from lmss.corpus import connected_graphs_upto, nonisomorphic_graphs
+from lmss.matching import _mu_on
 from lmss.stability import _stable_sets
 
 
@@ -160,6 +161,11 @@ def test_alpha_mu_against_oracle(g):
     e = oracles.edges_of(g)
     assert alpha(g) == (oracles.alpha(g.n, e) if g.n else 0)
     assert mu(g) == (oracles.mu(g.n, e) if g.n else 0)
+    # every sub-mask against the oracle on its induced edges, one shared memo
+    memo = {}
+    for mask in range(1 << g.n):
+        inside = [(u, v) for u, v in e if mask >> u & 1 and mask >> v & 1]
+        assert _mu_on(g, mask, memo) == oracles.mu(g.n, inside), mask
 
 
 @given(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=4))

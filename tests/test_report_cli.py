@@ -53,8 +53,7 @@ def test_analyze_reports_pinned(connected_upto_6):
     assert digest.hexdigest() == ANALYZE_DIGEST
 
 
-def test_analyze_runs_one_unique_matching_search(monkeypatch):
-    # count first-perfect-matching searches wherever a module binds the function
+def test_analyze_runs_one_unique_matching_search(patch_lmss):
     original = lmss.matching._first_perfect_matching
     calls = []
 
@@ -62,11 +61,7 @@ def test_analyze_runs_one_unique_matching_search(monkeypatch):
         calls.append(g)
         return original(g)
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("lmss"):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+    patch_lmss(original, counting)
     for name in ("fig8_G1", "fig8_G2"):
         calls.clear()
         analyze_graph(fixture(name), name=name)
