@@ -2,8 +2,10 @@
 
 All predicates are exact.  Well-coveredness reads the maximal stable sets
 off the stable-set walk of ``stability``; the others test the definition
-directly.  The well-covered predicates are cached per graph (graphs are
-immutable values).
+directly.  The Koenig-Egervary tests read alpha and mu from the memoised
+recursions on the vertex mask (``stability._alpha_on``,
+``matching._mu_on``), so no 2^n table is built.  The well-covered
+predicates are cached per graph (graphs are immutable values).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .graphs import (
     girth,
 )
 from .matching import _mu_on, mu
-from .stability import _alpha_table, _stable_sets, alpha, psi_enumerate
+from .stability import _alpha_on, _stable_sets, alpha, psi_enumerate
 
 
 def maximal_stable_sets(g: Graph) -> list[int]:
@@ -112,12 +114,13 @@ def has_pendant_perfect_matching(g: Graph) -> bool:
 def psi_neighborhoods_are_ke(g: Graph) -> tuple[bool, VertexSet | None]:
     """Does every local maximum stable set have a Koenig-Egervary neighbourhood?
 
-    Returns the first violating set (ascending mask order) when not.
+    Returns the first violating set (ascending mask order) when not.  alpha
+    and mu of the neighbourhoods are read through one memo each per call.
     """
-    atab = _alpha_table(g)
-    memo: dict[int, int] = {}
+    amemo: dict[int, int] = {}
+    mmemo: dict[int, int] = {}
     for m in psi_enumerate(g).members:
         closed = closed_neighborhood_bits(g, m)
-        if atab[closed] + _mu_on(g, closed, memo) != closed.bit_count():
+        if _alpha_on(g, closed, amemo) + _mu_on(g, closed, mmemo) != closed.bit_count():
             return False, VertexSet(g, m)
     return True, None

@@ -7,8 +7,9 @@ such sets (written ``psi`` here) always contains the empty set.
 Every stable-set family is read off one walk, ``_stable_sets``, which
 lists each stable set S together with N[S], in ascending mask order:
 
-* psi (``psi_enumerate``) keeps S with |S| = alpha(G[N[S]]), read from the
-  subset table of alpha: the definition;
+* psi (``psi_enumerate``) keeps S with |S| = alpha(G[N[S]]), the
+  definition, with alpha read from ``_alpha_on``, a memoised recursion on
+  the vertex mask that visits only the masks those N[S] reach;
 * the maximum stable sets (``omega_enumerate``) keep |S| = alpha(G);
 * the maximal stable sets (``classifiers.maximal_stable_sets``) keep
   N[S] = V.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .graphs import (
@@ -36,24 +36,29 @@ from .graphs import (
 )
 
 
-@lru_cache(maxsize=1024)
-def _alpha_table(g: Graph) -> bytes:
-    """alpha of the induced subgraph on every vertex mask, by subset DP,
-    kept as 1 byte each (n <= 16 bounds every value by 16).  The DP fills a
-    list, whose item writes are faster than a bytearray's.
+def _alpha_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
+    """alpha of the subgraph induced by the vertex mask ``avail``.
 
-    For the lowest vertex v of a mask: either v stays out (drop v) or v
-    goes in (drop its closed neighbourhood).
+    For the lowest vertex v of the mask: either v goes in (drop its closed
+    neighbourhood) or, only when v has a neighbour inside the mask, v stays
+    out (drop v); an isolated v is always in some maximum stable set.
+    ``memo`` maps masks to values; it is valid for one graph only, and every
+    mask of that graph may share it.
     """
-    closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
-    table = [0] * (1 << g.n)
-    for mask in range(1, 1 << g.n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        without = table[mask ^ low]
-        with_v = 1 + table[mask & ~closed[v]]
-        table[mask] = with_v if with_v > without else without
-    return bytes(table)
+    if not avail:
+        return 0
+    got = memo.get(avail)
+    if got is not None:
+        return got
+    low = avail & -avail
+    nbrs = g.adj[low.bit_length() - 1] & avail
+    best = 1 + _alpha_on(g, avail & ~(nbrs | low), memo)
+    if nbrs:
+        without = _alpha_on(g, avail ^ low, memo)
+        if without > best:
+            best = without
+    memo[avail] = best
+    return best
 
 
 def _stable_sets(g: Graph) -> list[tuple[int, int]]:
@@ -89,7 +94,7 @@ def is_stable_bits(g: Graph, mask: int) -> bool:
 
 def alpha(g: Graph) -> int:
     """Stability number: maximum cardinality of a stable set (0 for the empty graph)."""
-    return _alpha_table(g)[g.full_mask]
+    return _alpha_on(g, g.full_mask, {})
 
 
 def _has_member(members: tuple[int, ...], mask: int) -> bool:
@@ -136,7 +141,7 @@ def psi_member_oracle(g: Graph, s: VertexSet) -> bool:
 def _psi_member_bits(g: Graph, mask: int) -> bool:
     if not is_stable_bits(g, mask):
         return False
-    return mask.bit_count() == _alpha_table(g)[closed_neighborhood_bits(g, mask)]
+    return mask.bit_count() == _alpha_on(g, closed_neighborhood_bits(g, mask), {})
 
 
 def psi_member_vwc(g: Graph, s: VertexSet) -> bool:
@@ -158,9 +163,9 @@ def psi_member_vwc(g: Graph, s: VertexSet) -> bool:
 
 def psi_enumerate(g: Graph) -> StableSetFamily:
     """The family of all local maximum stable sets, empty set included."""
-    table = _alpha_table(g)
+    memo: dict[int, int] = {}
     return StableSetFamily(
-        g, tuple(s for s, c in _stable_sets(g) if s.bit_count() == table[c])
+        g, tuple(s for s, c in _stable_sets(g) if s.bit_count() == _alpha_on(g, c, memo))
     )
 
 

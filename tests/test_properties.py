@@ -36,7 +36,7 @@ from lmss import (
 )
 from lmss.corpus import connected_graphs_upto, nonisomorphic_graphs
 from lmss.matching import _mu_on
-from lmss.stability import _stable_sets
+from lmss.stability import _alpha_on, _stable_sets
 
 
 @st.composite
@@ -162,10 +162,15 @@ def test_alpha_mu_against_oracle(g):
     assert alpha(g) == (oracles.alpha(g.n, e) if g.n else 0)
     assert mu(g) == (oracles.mu(g.n, e) if g.n else 0)
     # every sub-mask against the oracle on its induced edges, one shared memo
-    memo = {}
+    # per recursion
+    amemo, mmemo = {}, {}
     for mask in range(1 << g.n):
         inside = [(u, v) for u, v in e if mask >> u & 1 and mask >> v & 1]
-        assert _mu_on(g, mask, memo) == oracles.mu(g.n, inside), mask
+        verts = [v for v in range(g.n) if mask >> v & 1]
+        assert _alpha_on(g, mask, amemo) == oracles.alpha_of(
+            oracles.adj_sets(g.n, inside), verts
+        ), mask
+        assert _mu_on(g, mask, mmemo) == oracles.mu(g.n, inside), mask
 
 
 @given(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=4))

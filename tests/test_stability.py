@@ -2,12 +2,14 @@ import pytest
 
 import oracles
 from lmss import (
+    Graph,
     UsageError,
     VertexSet,
     alpha,
     check_chain_growth,
     complete,
     cycle,
+    empty_graph,
     extends_to_maximum,
     is_stable,
     omega_enumerate,
@@ -120,6 +122,23 @@ def test_psi_enumerate_examples():
 def test_psi_enumerate_matches_oracle(connected_upto_6):
     for g in connected_upto_6:
         assert fam_as_sets(psi_enumerate(g)) == oracles.psi(g.n, oracles.edges_of(g))
+
+
+def test_psi_of_eight_disjoint_edges():
+    # at the 16-vertex cap: N[S] of a stable S is |S| whole edges, whose alpha
+    # is |S|, so every one of the 3^8 stable sets is locally maximum
+    g = Graph.from_edges(16, [(2 * i, 2 * i + 1) for i in range(8)])
+    assert alpha(g) == 8
+    fam = psi_enumerate(g)
+    assert len(fam) == 3 ** 8
+    assert all(is_stable(g, s) for s in fam)
+
+
+def test_psi_of_edgeless_graph_on_sixteen_vertices():
+    # N[S] = S for every S, so all 2^16 sets are locally maximum
+    g = empty_graph(16)
+    assert alpha(g) == 16
+    assert psi_enumerate(g).members == tuple(range(1 << 16))
 
 
 def test_psi_members_ascending_and_distinct():

@@ -2,7 +2,7 @@ import pytest
 
 from lmss import CorpusSpec, UsageError, corona, complete, cycle, verify
 from lmss.corpus import CorpusItem, iter_corpus
-from lmss.stability import _alpha_table
+from lmss.classifiers import is_very_well_covered
 from lmss.theorems import RULES, _check_th10iv
 
 
@@ -76,15 +76,16 @@ def test_verify_validates_every_rule_before_running_any(monkeypatch):
     assert calls == []
 
 
-def test_verify_item_major_builds_each_alpha_table_once():
+def test_verify_item_major_fills_each_vwc_cache_once():
     # 1,100 draws holding 1,092 distinct graphs: more than the 1,024 entries of
-    # the table cache, so a rule-major sweep would rebuild the tables per rule
+    # the predicate cache, so a rule-major sweep would miss twice per graph;
+    # th8 and th3 both ask is_very_well_covered first on every item
     spec = CorpusSpec(source="random", count=1100, n=7, edge_probability=0.3, seed=1)
     distinct = len({item.graph for item in iter_corpus(spec)})
     assert distinct == 1092
-    _alpha_table.cache_clear()
-    assert verify(spec, ["th7", "th1"]).passed
-    assert _alpha_table.cache_info().misses == distinct
+    is_very_well_covered.cache_clear()
+    assert verify(spec, ["th8", "th3"]).passed
+    assert is_very_well_covered.cache_info().misses == distinct
 
 
 def test_multi_rule_reports_equal_single_rule_reports(monkeypatch):
