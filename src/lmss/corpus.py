@@ -29,6 +29,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
+from . import classifiers
 from .graphs import Graph, UsageError, bits, corona, is_connected
 from .fixtures import fixture
 
@@ -300,8 +301,6 @@ def _passes(g: Graph, name: str) -> bool:
         return True
     if name == "connected":
         return is_connected(g)
-    from . import classifiers
-
     if name == "vwc":
         return classifiers.is_very_well_covered(g)
     if name == "bipartite":

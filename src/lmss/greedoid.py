@@ -13,6 +13,11 @@ enumerated family and works on every graph.  A negative brute-force
 verdict carries the failing axiom's witness; a positive one carries no
 certificate, since the axioms hold on the whole family.
 
+The axiom checks take a ``SetSystem``.  It lives in ``stability``, where
+every family the package builds is made as its subclass
+``StableSetFamily``, so psi goes to the checks as ``psi_enumerate``
+returns it.
+
 The exchange check is a bitmask kernel.  For each size k it records, for
 every member Y of size k, the mask of vertices v with Y+{v} a member,
 found by dropping one vertex at a time from the members of size k+1.  A
@@ -23,53 +28,12 @@ probe per element of a larger member plus one AND per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
+from .classifiers import is_very_well_covered
 from .graphs import Edge, Graph, UsageError, VertexSet, bits, closed_neighborhood_bits
 from .matching import AlternatingCycle, Matching, _perfect_matching_and_cycle
-from .stability import (
-    StableSetFamily,
-    _has_member,
-    _psi_member_bits,
-    omega_enumerate,
-    psi_enumerate,
-)
-
-
-@dataclass(frozen=True)
-class SetSystem:
-    """An explicit family of subsets of {0..ground_size-1}, ascending mask order."""
-
-    ground_size: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise UsageError("set systems must be non-empty families")
-        if list(self.members) != sorted(set(self.members)):
-            raise ValueError("members must be distinct and ascending")
-        if self.members[-1] >> self.ground_size:
-            raise ValueError("member outside the ground set")
-
-    @classmethod
-    def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
-        masks = set()
-        for s in sets:
-            m = 0
-            for v in s:
-                m |= 1 << v
-            masks.add(m)
-        return cls(ground_size, tuple(sorted(masks)))
-
-    @classmethod
-    def from_family(cls, family: StableSetFamily) -> "SetSystem":
-        return cls(family.graph.n, family.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        return _has_member(self.members, mask)
+from .stability import SetSystem, _psi_member_bits, omega_enumerate, psi_enumerate
 
 
 def check_accessibility(f: SetSystem) -> tuple[bool, int | None]:
@@ -201,8 +165,6 @@ def psi_is_greedoid(g: Graph, mode: str = "auto") -> GreedoidVerdict:
     no perfect matching); a negative brute-force verdict carries an
     inaccessible member or an exchange-violating pair.
     """
-    from .classifiers import is_very_well_covered
-
     if mode not in ("auto", "fast", "bruteforce"):
         raise UsageError(f"unknown mode {mode!r}")
     if mode == "fast" and not is_very_well_covered(g):
@@ -218,7 +180,7 @@ def psi_is_greedoid(g: Graph, mode: str = "auto") -> GreedoidVerdict:
             return GreedoidVerdict(True, "fast", unique_matching=pm)
         return GreedoidVerdict(False, "fast", alternating_cycle=cyc)
 
-    f = SetSystem.from_family(psi_enumerate(g))
+    f = psi_enumerate(g)
     ok, bad = check_accessibility(f)
     if not ok:
         return GreedoidVerdict(False, "bruteforce", inaccessible_member=VertexSet(g, bad))
@@ -240,8 +202,6 @@ def matching_from_chains(g: Graph) -> Matching:
     matching.  Requires a very well-covered graph whose family is a
     greedoid.
     """
-    from .classifiers import is_very_well_covered
-
     if not is_very_well_covered(g):
         raise UsageError("matching_from_chains needs a very well-covered graph")
     if not psi_is_greedoid(g, mode="fast").holds:

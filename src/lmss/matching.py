@@ -25,7 +25,7 @@ deterministic at this scale (n <= 16).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import (
     Edge,
@@ -43,6 +43,8 @@ class Matching:
 
     graph: Graph
     edges: tuple[Edge, ...]
+    # the mask of saturated vertices, kept from the overlap check
+    saturated_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
@@ -56,17 +58,11 @@ class Matching:
             if used & m:
                 raise UsageError(f"edges share a vertex at {e}")
             used |= m
+        object.__setattr__(self, "saturated_bits", used)
 
     @classmethod
     def of(cls, g: Graph, *pairs: tuple[int | str, int | str]) -> "Matching":
         return cls(g, tuple(Edge.of(g.vertex(a), g.vertex(b)) for a, b in pairs))
-
-    @property
-    def saturated_bits(self) -> int:
-        m = 0
-        for e in self.edges:
-            m |= (1 << e.u) | (1 << e.v)
-        return m
 
     def saturated(self) -> VertexSet:
         return VertexSet(self.graph, self.saturated_bits)

@@ -23,7 +23,7 @@ from .classifiers import (
     is_very_well_covered,
     is_well_covered,
 )
-from .greedoid import SetSystem, check_accessibility, check_exchange
+from .greedoid import check_accessibility, check_exchange
 
 SCHEMA_VERSION = 1
 
@@ -156,9 +156,8 @@ def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
     pm, cyc = timed("unique_perfect_matching", lambda: _perfect_matching_and_cycle(g))
     unique = pm is not None and cyc is None
     family = timed("psi_enumerate", lambda: psi_enumerate(g))
-    system = SetSystem.from_family(family)
-    access_ok, access_bad = timed("accessibility", lambda: check_accessibility(system))
-    exchange_ok, exchange_bad = timed("exchange", lambda: check_exchange(system))
+    access_ok, access_bad = timed("accessibility", lambda: check_accessibility(family))
+    exchange_ok, exchange_bad = timed("exchange", lambda: check_exchange(family))
     brute = access_ok and exchange_ok
     fast = unique if vwc else None
 

@@ -14,6 +14,10 @@ lists each stable set S together with N[S], in ascending mask order:
 * the maximal stable sets (``classifiers.maximal_stable_sets``) keep
   N[S] = V.
 
+Each family is a ``StableSetFamily``: a ``SetSystem`` whose ground set is
+the graph's vertices.  It is validated once, when it is built, and the
+greedoid axiom checks read it as it is.
+
 The counting shortcut |S| = |N(S)| the paper licenses for very
 well-covered graphs lives only in ``psi_member_vwc``; rule lem3 and the
 test suite check it against the definition.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import (
     Graph,
@@ -97,40 +101,54 @@ def alpha(g: Graph) -> int:
     return _alpha_on(g, g.full_mask, {})
 
 
-def _has_member(members: tuple[int, ...], mask: int) -> bool:
-    """Membership in an ascending tuple of masks, by binary search."""
-    i = bisect_left(members, mask)
-    return i < len(members) and members[i] == mask
-
-
 @dataclass(frozen=True)
-class StableSetFamily:
-    """A family of stable sets of one graph, in ascending bitmask order."""
+class SetSystem:
+    """An explicit family of subsets of {0..ground_size-1}, ascending mask order."""
 
-    graph: Graph
+    ground_size: int
     members: tuple[int, ...]
 
     def __post_init__(self):
+        if not self.members:
+            raise UsageError("set systems must be non-empty families")
         if list(self.members) != sorted(set(self.members)):
-            raise ValueError("family members must be distinct and ascending")
+            raise ValueError("members must be distinct and ascending")
+        if self.members[-1] >> self.ground_size:
+            raise ValueError("member outside the ground set")
+
+    @classmethod
+    def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
+        masks = set()
+        for s in sets:
+            m = 0
+            for v in s:
+                m |= 1 << v
+            masks.add(m)
+        return cls(ground_size, tuple(sorted(masks)))
 
     def __len__(self) -> int:
         return len(self.members)
 
+    def __contains__(self, s: VertexSet | int) -> bool:
+        mask = s.bits if isinstance(s, VertexSet) else s
+        i = bisect_left(self.members, mask)
+        return i < len(self.members) and self.members[i] == mask
+
+
+@dataclass(frozen=True)
+class StableSetFamily(SetSystem):
+    """A family of stable sets of one graph, whose vertices are the ground set."""
+
+    graph: Graph
+
     def __iter__(self) -> Iterator[VertexSet]:
         return (VertexSet(self.graph, m) for m in self.members)
-
-    def __contains__(self, s: VertexSet | int) -> bool:
-        return _has_member(self.members, s.bits if isinstance(s, VertexSet) else s)
-
-    def sets(self) -> tuple[VertexSet, ...]:
-        return tuple(self)
 
 
 def omega_enumerate(g: Graph) -> StableSetFamily:
     """All maximum stable sets of g."""
     a = alpha(g)
-    return StableSetFamily(g, tuple(s for s, _ in _stable_sets(g) if s.bit_count() == a))
+    return StableSetFamily(g.n, tuple(s for s, _ in _stable_sets(g) if s.bit_count() == a), g)
 
 
 def psi_member_oracle(g: Graph, s: VertexSet) -> bool:
@@ -165,7 +183,7 @@ def psi_enumerate(g: Graph) -> StableSetFamily:
     """The family of all local maximum stable sets, empty set included."""
     memo: dict[int, int] = {}
     return StableSetFamily(
-        g, tuple(s for s, c in _stable_sets(g) if s.bit_count() == _alpha_on(g, c, memo))
+        g.n, tuple(s for s, c in _stable_sets(g) if s.bit_count() == _alpha_on(g, c, memo)), g
     )
 
 

@@ -55,7 +55,7 @@ from .classifiers import (
     psi_neighborhoods_are_ke,
 )
 from .corpus import CorpusItem, CorpusSpec, iter_corpus
-from .greedoid import SetSystem, check_accessibility, check_exchange, psi_is_greedoid
+from .greedoid import check_accessibility, check_exchange, psi_is_greedoid
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def _check_th4(item: CorpusItem) -> list[Violation]:
 
 def _check_th7(item: CorpusItem) -> list[Violation]:
     g = item.graph
-    f = SetSystem.from_family(psi_enumerate(g))
+    f = psi_enumerate(g)
     if check_accessibility(f)[0] and not check_exchange(f)[0]:
         return [_violation("th7", item, "family is accessible but fails exchange")]
     return []

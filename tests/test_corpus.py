@@ -88,6 +88,13 @@ def test_corona_family_shape():
         assert it.graph.n == it.base.n + sum(h.n for h in it.parts)
 
 
+def test_corona_family_max_total_prunes():
+    full = corona_family(2, 2)
+    pruned = corona_family(2, 2, 4)
+    assert [it.graph for it in pruned] == [it.graph for it in full if it.graph.n <= 4]
+    assert 0 < len(pruned) < len(full)
+
+
 def test_corpus_spec_validation():
     with pytest.raises(UsageError):
         CorpusSpec(source="nope")
@@ -125,6 +132,12 @@ def test_iter_corpus_sources_and_filters():
         CorpusSpec(source="random", count=6, n=7, edge_probability=0.4, seed=1)
     )
     assert len(rand) == 6
+
+    draws = dict(source="random", count=30, n=7, edge_probability=0.25, seed=1)
+    every = iter_corpus(CorpusSpec(**draws))
+    connected = iter_corpus(CorpusSpec(**draws, filter="connected"))
+    assert connected == [it for it in every if is_connected(it.graph)]
+    assert 0 < len(connected) < len(every)
 
     # connected forests are trees
     forests = iter_corpus(CorpusSpec(source="exhaustive", max_n=5, filter="forest"))

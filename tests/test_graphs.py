@@ -31,8 +31,10 @@ from lmss.fixtures import fixture
 
 
 def test_graph_invariants_enforced():
-    with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # asymmetric
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(2, (2, 0))
+    with pytest.raises(ValueError, match="adjacency masks"):
+        Graph(2, (2,))
     with pytest.raises(ValueError):
         Graph(1, (1,))  # self-loop
     with pytest.raises(ValueError):
@@ -41,8 +43,10 @@ def test_graph_invariants_enforced():
         Graph(17, (0,) * 17)
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 1), (1, 0)])  # duplicate edge
-    with pytest.raises(ValueError):
-        Graph(2, (2, 1), labels=("a", "a"))  # repeated label
+    with pytest.raises(ValueError, match="distinct"):
+        Graph(2, (2, 1), labels=("a", "a"))
+    with pytest.raises(ValueError, match="cover every vertex"):
+        Graph(2, (2, 1), labels=("a",))
 
 
 def test_vertex_lookup_and_sets():
@@ -169,6 +173,9 @@ def test_parse_and_serialize():
     assert err.value.line == 2
     with pytest.raises(MalformedLineError):
         parse_edge_list("2\n0 1 2\n")
+    with pytest.raises(MalformedLineError) as err:
+        parse_edge_list("2\n0 x\n")
+    assert err.value.line == 2
     with pytest.raises(MalformedLineError):
         parse_edge_list("")
     for count in ("--5", "\u00b2", "5 6"):

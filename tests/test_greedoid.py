@@ -24,10 +24,6 @@ from lmss.fixtures import fixture
 from lmss.theorems import _check_th7
 
 
-def psi_system(g):
-    return SetSystem.from_family(psi_enumerate(g))
-
-
 def test_set_system_validation():
     with pytest.raises(UsageError):
         SetSystem(3, ())
@@ -38,12 +34,12 @@ def test_set_system_validation():
 
 
 def test_check_accessibility():
-    f = psi_system(fixture("fig1_H"))
+    f = psi_enumerate(fixture("fig1_H"))
     ok, bad = check_accessibility(f)
     g = fixture("fig1_H")
     assert not ok and bad == g.set_of("y", "t").bits
 
-    ok, bad = check_accessibility(psi_system(path(4)))
+    ok, bad = check_accessibility(psi_enumerate(path(4)))
     assert ok and bad is None
 
     assert check_accessibility(SetSystem(3, (0,))) == (True, None)
@@ -52,7 +48,7 @@ def test_check_accessibility():
 
 
 def test_check_exchange():
-    assert check_exchange(psi_system(path(4))) == (True, None)
+    assert check_exchange(psi_enumerate(path(4))) == (True, None)
     # the free system: all subsets of a 3-element ground set
     assert check_exchange(SetSystem(3, tuple(range(8)))) == (True, None)
     # {∅, {0}, {1,2}} fails exchange: {1,2} cannot donate to {0}
@@ -62,15 +58,15 @@ def test_check_exchange():
 
 
 def test_is_greedoid_verdicts():
-    assert is_greedoid(psi_system(fixture("fig3_G")))
-    assert not is_greedoid(psi_system(fixture("fig3_H")))
-    assert not is_greedoid(psi_system(cycle(4)))
+    assert is_greedoid(psi_enumerate(fixture("fig3_G")))
+    assert not is_greedoid(psi_enumerate(fixture("fig3_H")))
+    assert not is_greedoid(psi_enumerate(cycle(4)))
 
 
 def test_is_greedoid_against_oracle(connected_upto_6):
     for g in connected_upto_6:
         want = oracles.is_greedoid(oracles.psi(g.n, oracles.edges_of(g)))
-        assert is_greedoid(psi_system(g)) == want
+        assert is_greedoid(psi_enumerate(g)) == want
 
 
 def test_accessibility_implies_greedoid(connected_upto_6):

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from lmss import (
+    AlternatingCycle,
     Edge,
     Matching,
     MismatchError,
@@ -42,9 +43,22 @@ def test_matching_validation():
         Matching.of(g, ("u", "t"))  # not an edge
     with pytest.raises(UsageError):
         Matching.of(g, ("u", "v"), ("v", "t"))  # shared vertex
+    with pytest.raises(UsageError):
+        Matching(g, ((0, 1),))  # plain tuples, not Edge values
     m = Matching.of(g, ("u", "v"), ("x", "w"))
     assert len(m) == 2 and m.saturates("u") and not m.saturates("t")
     assert not m.is_perfect()
+
+    c4 = cycle(4)
+    AlternatingCycle(c4, (0, 1, 2, 3), (True, False, True, False))
+    for vertices, flags, message in [
+        ((0, 1, 2), (True, False, True), "even length"),
+        ((0, 1, 0, 1), (True, False, True, False), "malformed"),
+        ((0, 2, 1, 3), (True, False, True, False), "not an edge"),
+        ((0, 1, 2, 3), (True, True, False, False), "do not alternate"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            AlternatingCycle(c4, vertices, flags)
 
 
 def test_mu_examples():

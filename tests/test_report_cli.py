@@ -74,6 +74,8 @@ def test_report_json_roundtrip():
         again = ClassificationReport.from_json(r.to_json())
         assert again == r
     assert "alpha" in render_text(r)
+    with pytest.raises(ValueError, match="unsupported schema"):
+        ClassificationReport.from_dict({**r.to_dict(), "schema": 2})
 
 
 def test_report_rejects_disagreeing_verdicts():

@@ -3,6 +3,7 @@ import pytest
 import oracles
 from lmss import (
     Graph,
+    SetSystem,
     UsageError,
     VertexSet,
     alpha,
@@ -142,8 +143,13 @@ def test_psi_of_edgeless_graph_on_sixteen_vertices():
 
 
 def test_psi_members_ascending_and_distinct():
-    fam = psi_enumerate(fixture("fig8_G1"))
+    g = fixture("fig8_G1")
+    fam = psi_enumerate(g)
     assert list(fam.members) == sorted(set(fam.members))
+    # the family is the set system over V(G) that the greedoid checks read
+    assert isinstance(fam, SetSystem) and fam.ground_size == g.n
+    assert all(s in fam and s.bits in fam for s in fam)
+    assert VertexSet(g, g.full_mask) not in fam and g.full_mask not in fam
 
 
 def test_extends_to_maximum():
