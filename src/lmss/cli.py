@@ -132,13 +132,16 @@ def _cmd_verify(args) -> int:
 def _cmd_generate(args) -> int:
     items = iter_corpus(_corpus_spec(args))
     out = Path(args.output)
-    if args.split:
-        out.mkdir(parents=True, exist_ok=True)
-        for it in items:
-            (out / f"{it.name}.txt").write_text(f"# {it.name}\n" + serialize(it.graph))
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(serialize_many((it.name, it.graph) for it in items))
+    try:
+        if args.split:
+            out.mkdir(parents=True, exist_ok=True)
+            for it in items:
+                (out / f"{it.name}.txt").write_text(f"# {it.name}\n" + serialize(it.graph))
+        else:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(serialize_many((it.name, it.graph) for it in items))
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
     sys.stdout.write(f"{len(items)} graphs written\n")
     return 0
 

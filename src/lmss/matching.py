@@ -12,8 +12,19 @@ perfect matchings.  One walk, ``_matchings``, pruned by ``_mu_on``, lists
 the matchings of one size: all maximum ones, all perfect ones, and the
 first perfect one.  The counter only counts, so the check that a unique
 perfect matching is the only one counted shares no code with the walk
-that found it.  ``_alternating_cycles`` yields the first alternating cycle
-and all of them.  The unique-perfect-matching question is one search,
+that found it.
+
+Two walks run on masks and build no ``Matching`` or ``AlternatingCycle``:
+``_matching_walk`` yields every matching as (edge pairs, mate array,
+saturated mask), and ``_alternating_cycles`` yields the alternating
+cycles of one matching as vertex tuples.  Those objects are built only at
+the public boundary: ``enumerate_matchings`` wraps each matching in a
+validated ``Matching``, ``find_alternating_cycle`` and
+``enumerate_alternating_cycles`` wrap cycles in ``AlternatingCycle``s, and
+``is_uniquely_restricted`` only asks whether a first cycle exists.  The
+th9 rule reads both walks directly.
+
+The unique-perfect-matching question is one search,
 ``_perfect_matching_and_cycle``: the first perfect matching, then the
 first alternating cycle with respect to it.  Every caller
 (``has_unique_perfect_matching``, the fast greedoid verdict and the
@@ -188,22 +199,46 @@ def _mu_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
 
 def enumerate_matchings(g: Graph) -> list[Matching]:
     """Every matching of g, the empty one included."""
+    return [Matching(g, pairs) for pairs, _, _ in _matching_walk(g)]
+
+
+def _matching_walk(g: Graph):
+    """Every matching of g, the empty one first, as (pairs, mate, saturated).
+
+    DFS over ``g.edges()``: each matching is followed by its extensions by
+    later edges that miss its saturated mask.  ``pairs`` is the tuple of
+    edges in ascending order, ``mate[v]`` is v's partner or -1, and
+    ``saturated`` is the mask of matched vertices.  The edges come from g
+    and the mask keeps them disjoint, so every yield is a valid matching
+    without a check.  ``mate`` is one list updated in place; it is valid
+    until the walk resumes.
+    """
     edges = g.edges()
-    out = [Matching(g, ())]
-
-    def grow(start: int, chosen: list[Edge], used: int):
-        for i in range(start, len(edges)):
-            e = edges[i]
-            m = (1 << e.u) | (1 << e.v)
-            if used & m:
-                continue
-            chosen.append(e)
-            out.append(Matching(g, tuple(chosen)))
-            grow(i + 1, chosen, used | m)
-            chosen.pop()
-
-    grow(0, [], 0)
-    return out
+    masks = [(1 << u) | (1 << v) for u, v in edges]
+    mate = [-1] * g.n
+    chosen: list[Edge] = []
+    yield (), mate, 0
+    # i: the next edge to try; stack: (i, used) of the shorter matchings
+    i, used = 0, 0
+    stack: list[tuple[int, int]] = []
+    while True:
+        if i == len(edges):
+            if not stack:
+                return
+            u, v = chosen.pop()
+            mate[u] = mate[v] = -1
+            i, used = stack.pop()
+            continue
+        if used & masks[i]:
+            i += 1
+            continue
+        u, v = e = edges[i]
+        chosen.append(e)
+        mate[u], mate[v] = v, u
+        stack.append((i + 1, used))
+        used |= masks[i]
+        i += 1
+        yield tuple(chosen), mate, used
 
 
 def enumerate_maximum_matchings(g: Graph) -> list[Matching]:
@@ -287,19 +322,26 @@ def _matchings(g: Graph, size: int):
         yield from walk(g.full_mask, size)
 
 
-def _alternating_cycles(g: Graph, m: Matching):
-    """Alternating cycles with respect to m, once per matched edge on them:
-    DFS over alternating walks seeded at each matched edge ab in canonical
-    order, extending through ascending neighbours and closing at a."""
-    mate: dict[int, int] = {}
+def _mate_of(g: Graph, m: Matching) -> list[int]:
+    mate = [-1] * g.n
     for u, v in m.edges:
-        mate[u] = v
-        mate[v] = u
-    for a, b in m.edges:
+        mate[u], mate[v] = v, u
+    return mate
+
+
+def _alternating_cycles(adj: tuple[int, ...], pairs: tuple[Edge, ...], mate: list[int]):
+    """Alternating cycles with respect to the matching ``pairs``, as vertex
+    tuples whose first edge is matched, once per matched edge on them.
+
+    DFS over alternating walks seeded at each matched edge ab in canonical
+    order, extending through ascending neighbours and closing at a.
+    ``adj`` is the graph's adjacency and ``mate[v]`` is v's partner or -1.
+    """
+    for a, b in pairs:
         path = [a, b]
         onpath = (1 << a) | (1 << b)
         # rest: untried neighbours of the walk's end; stack: those of earlier ends
-        rest = g.adj[b] & ~(1 << a)
+        rest = adj[b] & ~(1 << a)
         stack: list[int] = []
         while True:
             if not rest:
@@ -312,40 +354,52 @@ def _alternating_cycles(g: Graph, m: Matching):
             rest ^= low
             if low >> a & 1:
                 if len(path) >= 4:
-                    flags = tuple(i % 2 == 0 for i in range(len(path)))
-                    yield AlternatingCycle(g, tuple(path), flags)
+                    yield tuple(path)
                 continue
             if onpath & low:
                 continue
             # the path holds whole matched edges, so a free u has a free mate
             u = low.bit_length() - 1
-            w = mate.get(u)
-            if w is None:
+            w = mate[u]
+            if w < 0:
                 continue
             path += (u, w)
             onpath |= low | (1 << w)
             stack.append(rest)
-            rest = g.adj[w] & ~low
+            rest = adj[w] & ~low
+
+
+def _cycle_free(adj: tuple[int, ...], pairs: tuple[Edge, ...], mate: list[int]) -> bool:
+    """True when the matching ``pairs`` has no alternating cycle."""
+    return next(_alternating_cycles(adj, pairs, mate), None) is None
+
+
+def _cycle_of(g: Graph, vertices: tuple[int, ...]) -> AlternatingCycle:
+    flags = tuple(i % 2 == 0 for i in range(len(vertices)))
+    return AlternatingCycle(g, vertices, flags)
 
 
 def find_alternating_cycle(g: Graph, m: Matching) -> AlternatingCycle | None:
     """First alternating cycle with respect to m, or None."""
     _check_matching(g, m)
-    return next(_alternating_cycles(g, m), None)
+    first = next(_alternating_cycles(g.adj, m.edges, _mate_of(g, m)), None)
+    return None if first is None else _cycle_of(g, first)
 
 
 def enumerate_alternating_cycles(g: Graph, m: Matching) -> list[AlternatingCycle]:
     """All distinct alternating cycles (distinct as edge sets)."""
     _check_matching(g, m)
     found: dict[frozenset, AlternatingCycle] = {}
-    for cyc in _alternating_cycles(g, m):
+    for vertices in _alternating_cycles(g.adj, m.edges, _mate_of(g, m)):
+        cyc = _cycle_of(g, vertices)
         found.setdefault(frozenset(cyc.edges()), cyc)
     return list(found.values())
 
 
 def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
     """True when m has no alternating cycle (empty matchings vacuously qualify)."""
-    return find_alternating_cycle(g, m) is None
+    _check_matching(g, m)
+    return _cycle_free(g.adj, m.edges, _mate_of(g, m))
 
 
 def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:

@@ -12,6 +12,11 @@ vertices, on the saturated mask of the graph itself.  One count memo per
 corpus item serves all of that item's matchings, since their saturated
 masks share sub-masks, and is dropped when the item is done.  The count
 shares no code with the alternating-cycle search it is compared with.
+
+th9 reads the matching walk itself: for every matching it runs both
+routes on the walk's masks, the alternating-cycle walk on the mate array
+and the count on the saturated mask, and builds a ``Matching`` only to
+describe a violation.
 """
 
 from __future__ import annotations
@@ -32,12 +37,12 @@ from .stability import (
 from .matching import (
     Matching,
     _count_perfect_matchings_on,
+    _cycle_free,
+    _matching_walk,
     count_perfect_matchings,
-    enumerate_matchings,
     enumerate_maximum_matchings,
     enumerate_perfect_matchings,
     find_alternating_c4,
-    find_alternating_cycle,
     has_unique_perfect_matching,
     check_property_p,
     is_uniquely_restricted,
@@ -78,13 +83,13 @@ def _violation(rule: str, item: CorpusItem, detail: str) -> Violation:
     return Violation(rule, item.name, detail, serialize(item.graph))
 
 
-def _unique_pm_of_saturated(g: Graph, m: Matching, memo: dict[int, int]) -> bool:
+def _unique_pm_of_saturated(g: Graph, saturated: int, memo: dict[int, int]) -> bool:
     """Definitional uniquely-restricted test: count perfect matchings of the
     subgraph induced by the saturated vertices.
 
     ``memo`` is the count memo of g, shared by every matching of one item.
     """
-    return _count_perfect_matchings_on(g, m.saturated_bits, memo) == 1
+    return _count_perfect_matchings_on(g, saturated, memo) == 1
 
 
 # ------------------------------------------------------------------ rules
@@ -179,10 +184,11 @@ def _check_th9(item: CorpusItem) -> list[Violation]:
     g = item.graph
     out = []
     memo: dict[int, int] = {}
-    for m in enumerate_matchings(g):
-        by_cycle = is_uniquely_restricted(g, m)
-        by_count = _unique_pm_of_saturated(g, m, memo)
+    for pairs, mate, saturated in _matching_walk(g):
+        by_cycle = _cycle_free(g.adj, pairs, mate)
+        by_count = _unique_pm_of_saturated(g, saturated, memo)
         if by_cycle != by_count:
+            m = Matching(g, pairs)
             out.append(
                 _violation("th9", item, f"{m!r}: alternating-cycle route {by_cycle}, enumeration {by_count}")
             )
@@ -217,7 +223,9 @@ def _check_th22(item: CorpusItem) -> list[Violation]:
         return []
     lhs = psi_is_greedoid(g, mode="bruteforce").holds
     memo: dict[int, int] = {}
-    rhs = all(_unique_pm_of_saturated(g, m, memo) for m in enumerate_maximum_matchings(g))
+    rhs = all(
+        _unique_pm_of_saturated(g, m.saturated_bits, memo) for m in enumerate_maximum_matchings(g)
+    )
     if lhs != rhs:
         return [_violation("th22", item, f"greedoid {lhs}, all-maximum-matchings-restricted {rhs}")]
     return []
@@ -265,7 +273,7 @@ def _check_lem2(item: CorpusItem) -> list[Violation]:
         return []
     out = []
     for m in enumerate_maximum_matchings(g):
-        any_cycle = find_alternating_cycle(g, m) is not None
+        any_cycle = not is_uniquely_restricted(g, m)
         any_square = find_alternating_c4(g, m) is not None
         if any_cycle != any_square:
             out.append(
@@ -310,8 +318,8 @@ def _check_equiv7(item: CorpusItem) -> list[Violation]:
         return []
     mm = enumerate_maximum_matchings(g)
     memo: dict[int, int] = {}
-    restricted = [_unique_pm_of_saturated(g, m, memo) for m in mm]
-    cycle_free = [find_alternating_cycle(g, m) is None for m in mm]
+    restricted = [_unique_pm_of_saturated(g, m.saturated_bits, memo) for m in mm]
+    cycle_free = [is_uniquely_restricted(g, m) for m in mm]
     square_free = [find_alternating_c4(g, m) is None for m in mm]
     preds = {
         "greedoid": psi_is_greedoid(g, mode="bruteforce").holds,

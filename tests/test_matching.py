@@ -25,7 +25,7 @@ from lmss import (
 )
 from lmss.fixtures import fixture, fixture_names, named_edges
 from lmss.graphs import induced_subgraph
-from lmss.matching import _count_perfect_matchings_on
+from lmss.matching import _count_perfect_matchings_on, _matching_walk
 
 
 def matching_by_names(name, *pairs):
@@ -97,6 +97,25 @@ def test_enumerations_against_oracle(connected_upto_6):
         got_max = [tuple(tuple(x) for x in m.edges) for m in enumerate_maximum_matchings(g)]
         assert got_max == want_max
         assert count_perfect_matchings(g) == len(oracles.perfect_matchings(g.n, e))
+
+
+def test_matching_walk_yields_what_the_validated_matchings_hold(connected_upto_6):
+    # the walk validates nothing itself, so each yield is checked here: its
+    # pairs must build a Matching (disjoint edges of g, ascending), and its
+    # mate array and saturated mask must describe that matching
+    for g in connected_upto_6:
+        public = enumerate_matchings(g)
+        got = []
+        for i, (pairs, mate, saturated) in enumerate(_matching_walk(g)):
+            m = Matching(g, pairs)
+            assert m.edges == pairs and m == public[i], (g, pairs)
+            assert saturated == m.saturated_bits
+            partner = {u: v for a, b in pairs for u, v in ((a, b), (b, a))}
+            assert mate == [partner.get(v, -1) for v in range(g.n)]
+            got.append(tuple(tuple(e) for e in pairs))
+        # the same order as the oracle's DFS over sorted edges
+        want = [tuple(sorted(m)) for m in oracles.all_matchings(oracles.edges_of(g))]
+        assert got == want and len(public) == len(got)
 
 
 def test_find_alternating_cycle_examples():

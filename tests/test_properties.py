@@ -21,8 +21,11 @@ from lmss import (
     complete,
     corona,
     cycle,
+    enumerate_matchings,
+    find_alternating_cycle,
     girth,
     has_pendant_perfect_matching,
+    is_uniquely_restricted,
     is_very_well_covered,
     is_well_covered,
     maximal_stable_sets,
@@ -142,6 +145,21 @@ def test_psi_enumerate_against_oracle(g):
         oracles.maximum_stable_sets(g.n, e)
     )
     assert maximal_stable_sets(g) == _ascending_masks(oracles.maximal_stable_sets(g.n, e))
+
+
+@given(graphs(max_n=7))
+@example(complete(7))
+@example(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]))
+@settings(max_examples=40)
+def test_uniquely_restricted_routes_agree(g):
+    # the boolean helper, the first-cycle search and the definition, on
+    # every matching, disconnected graphs included
+    e = oracles.edges_of(g)
+    for m in enumerate_matchings(g):
+        pairs = [tuple(x) for x in m.edges]
+        assert is_uniquely_restricted(g, m) == (find_alternating_cycle(g, m) is None) == (
+            oracles.is_uniquely_restricted(g.n, e, pairs)
+        ), m
 
 
 def test_oracles_import_nothing_from_the_package():

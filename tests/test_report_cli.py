@@ -210,3 +210,22 @@ def test_cli_generate_coronas(tmp_path):
         "--output", str(out_file),
     )
     assert code == 0 and "written" in out
+
+
+def test_cli_generate_split_onto_a_file_exits_2(tmp_path):
+    existing = tmp_path / "corpus.txt"
+    existing.write_text("keep\n")
+    code, out, err = run_cli(
+        "generate", "--source", "exhaustive", "--max-n", "3", "--split", "--output", str(existing)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {existing}") and err.count("\n") == 1
+    assert existing.read_text() == "keep\n"
+
+
+def test_cli_generate_onto_a_directory_exits_2(tmp_path):
+    code, out, err = run_cli(
+        "generate", "--source", "exhaustive", "--max-n", "3", "--output", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}") and err.count("\n") == 1

@@ -1,8 +1,9 @@
 import pytest
 
-from lmss import CorpusSpec, UsageError, corona, complete, cycle, verify
+from lmss import CorpusSpec, Matching, UsageError, corona, complete, cycle, fixture, verify
 from lmss.corpus import CorpusItem, iter_corpus
 from lmss.classifiers import is_very_well_covered
+from lmss.matching import _alternating_cycles, _count_perfect_matchings_on
 from lmss.theorems import RULES, _check_th10iv
 
 
@@ -119,3 +120,43 @@ def test_th4_checker_on_ke_graphs(connected_upto_6):
 
     for g in connected_upto_6[:60]:
         assert _check_th4(CorpusItem("g", g)) == []
+
+
+def _th9_details_on_fig1_H():
+    summary = verify(CorpusSpec(source="fixtures", fixtures=("fig1_H",)), ["th9"])
+    return [v.detail for v in summary.reports[0].violations]
+
+
+def test_th9_runs_the_count_route_on_every_matching(patch_lmss):
+    # {uv,xw} is uniquely restricted and the only matching saturating its
+    # mask; a count that lies there must surface as exactly one violation
+    g = fixture("fig1_H")
+    target = Matching.of(g, ("u", "v"), ("x", "w"))
+    assert _th9_details_on_fig1_H() == []
+
+    def lying(g, avail, memo):
+        count = _count_perfect_matchings_on(g, avail, memo)
+        return count + 1 if avail == target.saturated_bits else count
+
+    patch_lmss(_count_perfect_matchings_on, lying)
+    assert _th9_details_on_fig1_H() == [
+        f"{target!r}: alternating-cycle route True, enumeration False"
+    ]
+
+
+def test_th9_runs_the_cycle_route_on_every_matching(patch_lmss):
+    # {uv,tx} is uniquely restricted; a cycle walk that invents a cycle
+    # for it alone must surface as exactly one violation
+    g = fixture("fig1_H")
+    target = Matching.of(g, ("u", "v"), ("t", "x"))
+
+    def lying(adj, pairs, mate):
+        if tuple(pairs) == target.edges:
+            yield (0, 1, 2, 3)
+        else:
+            yield from _alternating_cycles(adj, pairs, mate)
+
+    patch_lmss(_alternating_cycles, lying)
+    assert _th9_details_on_fig1_H() == [
+        f"{target!r}: alternating-cycle route False, enumeration True"
+    ]
