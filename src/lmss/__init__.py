@@ -101,7 +101,7 @@ from .corpus import (
     random_graphs,
     trees_upto,
 )
-from .report import ClassificationReport, analyze_graph, analyze_text, render_text
+from .report import ClassificationReport, analyze_graph, render_text
 from .theorems import RULES, VerificationSummary, Violation, verify
 
 __version__ = "0.1.0"

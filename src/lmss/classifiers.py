@@ -18,7 +18,6 @@ from .graphs import (
     VertexSet,
     bits,
     closed_neighborhood_bits,
-    girth,
 )
 from .matching import _mu_on, mu
 from .stability import _alpha_on, _stable_sets, alpha, psi_enumerate
@@ -95,7 +94,19 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_forest(g: Graph) -> bool:
-    return girth(g) is None
+    """Acyclic: a graph with c components is a forest iff it has n - c edges."""
+    unseen = g.full_mask
+    components = 0
+    while unseen:
+        components += 1
+        frontier = unseen & -unseen
+        while frontier:
+            unseen &= ~frontier
+            reach = 0
+            for v in bits(frontier):
+                reach |= g.adj[v]
+            frontier = reach & unseen
+    return g.edge_count == g.n - components
 
 
 def has_pendant_perfect_matching(g: Graph) -> bool:

@@ -140,6 +140,9 @@ def _cmd_generate(args) -> int:
         else:
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(serialize_many((it.name, it.graph) for it in items))
+    except FileExistsError as exc:
+        # mkdir(exist_ok=True) raises this only where a non-directory stands
+        raise UsageError(f"cannot write {out}: {exc.filename} is not a directory") from None
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
     sys.stdout.write(f"{len(items)} graphs written\n")

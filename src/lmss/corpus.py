@@ -1,11 +1,25 @@
 """Corpus generation: exhaustive small graphs, trees, seeded random graphs, coronas.
 
 Exhaustive generation augments the (n-1)-vertex catalogue by one vertex
-and rejects isomorphs via a canonical form: the minimum upper-triangle
-adjacency key over vertex orders that respect an iterated-refinement
-colouring, with individualisation when the colouring leaves large cells.
-Graphs try every neighbourhood of the new vertex, trees every single
-neighbour.  Feasible through n = 8; larger sizes are sampled randomly.
+and rejects isomorphs by a canonical key.  Graphs try every neighbourhood
+of the new vertex, trees every single neighbour.  Feasible through n = 8;
+larger sizes are sampled randomly.
+
+The key is the least row-major upper-triangle adjacency key over the
+vertex orders that respect the ordered cells of a leaf of one search tree.
+The tree refines the degree partition and individualises one vertex of
+the first non-singleton cell at a time, refining again, until the cells
+admit at most ``_LEAF_CAP`` orders.  A leaf is searched row by row: the
+next position keeps only the candidates with the least row, and the rest
+of the cells split into that vertex's non-neighbours, then its neighbours.
+Twins, vertices of one cell with equal open or closed neighbourhoods, are
+tried once in both searches: swapping them is an automorphism that fixes
+everything placed so far, so their subtrees hold the same keys.  Stars and
+trees, whose interchangeable leaves are twins, are keyed in milliseconds.
+Graphs whose symmetries are not all twin swaps, such as K8 with a pendant
+at each vertex or K2,2,2,2,2,2,2,2, still branch on every vertex of a cell
+up to twins, taking about a second: no automorphism found at a leaf prunes
+the tree.
 
 Canonical forms are the expensive step, so a child is canonicalised only
 when its new vertex minimises the isomorphism-invariant vertex function
@@ -26,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial
 
 from . import classifiers
@@ -35,43 +49,68 @@ from .fixtures import fixture
 
 EXHAUSTIVE_LIMIT = 8
 
-# brute-force the minimum key once the cell permutation count drops to this
-_BRUTE_CAP = 720
+# The individualisation tree ends at a cell partition that admits at most
+# this many orders (the product of its cells' factorials).  The key is the
+# least row-major key over the orders of the tree's leaves, so this constant
+# is part of the key's definition: another value would give other keys and
+# change the pinned catalogue bytes.
+_LEAF_CAP = 720
 
 
-def _refine(n: int, adj: tuple[int, ...], seed_colors: list) -> list[list[int]]:
-    """Stable colour refinement; returns cells ordered by canonical colour keys."""
-    colors = seed_colors
-    # renumber by sorted key so the ordering is order-independent
-    palette = {k: i for i, k in enumerate(sorted(set(colors)))}
-    colors = [palette[c] for c in colors]
+def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Stable colour refinement of ordered cell masks.
+
+    Each round splits every cell by its members' counts of neighbours in
+    each cell, in cell order; a member with more neighbours in the first
+    cell where counts differ goes first.  Members of a cell share a degree,
+    so this is the order of their sorted neighbour-colour tuples.  Stops
+    when a round splits no cell.
+    """
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in bits(adj[v]))))
-            for v in range(n)
-        ]
-        palette = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [palette[k] for k in keys]
-        if new == colors:
-            break
-        colors = new
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return [cells[c] for c in sorted(cells)]
-
-
-def _key_of_order(n: int, adj: tuple[int, ...], order: list[int]) -> int:
-    key = 0
-    for i in range(n):
-        row = adj[order[i]]
-        for j in range(i + 1, n):
-            key = key << 1 | (row >> order[j] & 1)
-    return key
+        new: list[int] = []
+        for c in cells:
+            if not c & (c - 1):
+                new.append(c)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in bits(c):
+                a = adj[v]
+                sig = tuple([-(a & d).bit_count() for d in cells])
+                groups[sig] = groups.get(sig, 0) | 1 << v
+            if len(groups) == 1:
+                new.append(c)
+            else:
+                new.extend(groups[sig] for sig in sorted(groups))
+        if len(new) == len(cells):
+            return cells
+        cells = new
 
 
 def canonical_key(g: Graph) -> int:
-    """Isomorphism-invariant upper-triangle adjacency key."""
+    """Isomorphism-invariant upper-triangle adjacency key.
+
+    The key is the least row-major upper-triangle key over the vertex orders
+    that respect the ordered cells of some leaf of a fixed search tree.  The
+    root is the stable refinement of the degree partition.  A node whose
+    cells admit more than ``_LEAF_CAP`` orders has one child per vertex v of
+    its first non-singleton cell: v is placed before the rest of that cell
+    and the cells are refined again.  Other nodes are leaves.
+
+    A leaf is searched row by row.  Position i takes a vertex of the first
+    cell; its row lists, across the later cells in order, its
+    non-neighbours and then its neighbours, so only the candidates with the
+    least row are kept, and every cell then splits into that vertex's
+    non-neighbours followed by its neighbours.  A branch whose rows so far
+    exceed the best key found is dropped.
+
+    Twins are tried once, both in the tree and in the row search.  If u and
+    w lie in the same cell and have equal open or equal closed
+    neighbourhoods, the transposition (u w) is an automorphism.  It fixes
+    every vertex already placed or individualised, and refinement commutes
+    with automorphisms, so it maps every ordered cell to itself.  It
+    therefore maps the orders below u onto those below w with equal keys,
+    and only one of the two subtrees is searched.
+    """
     n, adj = g.n, g.adj
     if n <= 1:
         return 0
@@ -80,30 +119,83 @@ def canonical_key(g: Graph) -> int:
         return 0
     if m2 == n * (n - 1):
         return (1 << (n * (n - 1) // 2)) - 1
-    best: int | None = None
+    best = 1 << (n * (n - 1) // 2)
 
-    def descend(cells: list[list[int]]):
+    def untried(cell: int):
+        """The vertices of ``cell`` that are not a twin of an earlier one."""
+        opened: set[int] = set()
+        closed: set[int] = set()
+        for v in bits(cell):
+            a = adj[v]
+            ca = a | 1 << v
+            if a in opened or ca in closed:
+                continue
+            opened.add(a)
+            closed.add(ca)
+            yield v
+
+    def search_rows(cells: list[int], key: int, width: int):
+        # ``cells`` holds the unplaced vertices and ``width`` is the length of
+        # the next row, one less than their number; the last candidate with
+        # the least row is followed in the loop, the others recursively
         nonlocal best
-        perms = 1
-        for c in cells:
-            perms *= factorial(len(c))
-        if perms <= _BRUTE_CAP:
-            for combo in product(*(permutations(c) for c in cells)):
-                order = [v for part in combo for v in part]
-                key = _key_of_order(n, adj, order)
-                if best is None or key < best:
-                    best = key
-            return
-        i = next(idx for idx, c in enumerate(cells) if len(c) > 1)
-        for v in cells[i]:
-            colors: list = [None] * n
-            for j, c in enumerate(cells):
-                for w in c:
-                    colors[w] = (j, 0 if (j == i and w == v) else 1)
-            descend(_refine(n, adj, colors))
+        while cells:
+            if len(cells) > width:
+                # every cell is a singleton: the order is fixed
+                for i, c in enumerate(cells):
+                    a = adj[c.bit_length() - 1]
+                    for d in cells[i + 1:]:
+                        key = key << 1 | (a & d != 0)
+                break
+            first = cells[0]
+            rest = cells[1:]
+            least = -1
+            for v in untried(first):
+                a = adj[v]
+                row = (1 << (a & first).bit_count()) - 1
+                for c in rest:
+                    row = row << c.bit_count() | (1 << (a & c).bit_count()) - 1
+                if least < 0 or row < least:
+                    least = row
+                    chosen = [v]
+                elif row == least:
+                    chosen.append(v)
+            key = key << width | least
+            width -= 1
+            if key > best >> (width * (width + 1) // 2):
+                return
+            for v in chosen:
+                a = adj[v]
+                cells = []
+                for c in (first ^ 1 << v, *rest):
+                    if c & ~a:
+                        cells.append(c & ~a)
+                    if c & a:
+                        cells.append(c & a)
+                if v != chosen[-1]:
+                    search_rows(cells, key, width)
+        if key < best:
+            best = key
 
-    descend(_refine(n, adj, [g.degree(v) for v in range(n)]))
-    assert best is not None
+    def descend(cells: list[int]):
+        orders = 1
+        for c in cells:
+            orders *= factorial(c.bit_count())
+            if orders > _LEAF_CAP:
+                break
+        else:
+            search_rows(cells, 0, n - 1)
+            return
+        i = next(idx for idx, c in enumerate(cells) if c & (c - 1))
+        cell = cells[i]
+        for v in untried(cell):
+            descend(_refine(adj, [*cells[:i], 1 << v, cell ^ 1 << v, *cells[i + 1:]]))
+
+    by_degree: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    descend(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
     return best
 
 

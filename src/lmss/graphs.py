@@ -286,7 +286,8 @@ def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for forests.
 
     For every edge uv, look for the shortest u-v path avoiding that edge;
-    the minimum over all edges of (path length + 1) is the girth.
+    the minimum over all edges of (path length + 1) is the girth.  A
+    triangle ends the search, since no cycle is shorter.
     """
     best = None
     for u, v in g.edges():
@@ -305,6 +306,8 @@ def girth(g: Graph) -> int | None:
             cycle = dist[v] + 1
             if best is None or cycle < best:
                 best = cycle
+                if best == 3:
+                    break
     return best
 
 

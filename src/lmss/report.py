@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .graphs import Graph, bits, girth, parse_edge_list
+from .graphs import Graph, bits, girth
 from .stability import alpha, psi_enumerate
 from .matching import _perfect_matching_and_cycle, count_perfect_matchings, mu
 from .classifiers import (
@@ -201,10 +201,6 @@ def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
         certificates=certificates,
         timings_ms=clock,
     )
-
-
-def analyze_text(text: str, name: str | None = None) -> ClassificationReport:
-    return analyze_graph(parse_edge_list(text), name=name)
 
 
 def render_text(report: ClassificationReport) -> str:

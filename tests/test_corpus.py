@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ from lmss import (
 # published counts of graphs up to isomorphism, used as generation oracles
 ALL_GRAPHS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
+TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
 
 
 def shuffled_copy(g: Graph, seed: int) -> Graph:
@@ -55,6 +56,16 @@ def test_canonical_key_is_relabeling_invariant():
 def test_canonical_key_separates_nonisomorphic():
     keys = {canonical_key(g) for g in nonisomorphic_graphs(6)}
     assert len(keys) == ALL_GRAPHS[6]
+
+
+def test_star_k1_15_is_keyed_in_under_a_second():
+    # the fifteen leaves are twins, so each level of the search tries one
+    star = Graph.from_edges(16, [(0, leaf) for leaf in range(1, 16)])
+    relabeled = shuffled_copy(star, 5)
+    start = time.perf_counter()
+    key = canonical_key(relabeled)
+    assert time.perf_counter() - start < 1.0
+    assert key == canonical_key(star)
 
 
 def test_canonical_graph_roundtrip():

@@ -20,6 +20,7 @@ from lmss import (
     girth,
     induced_subgraph,
     is_connected,
+    is_forest,
     neighborhood,
     parse_edge_list,
     parse_edge_lists,
@@ -27,6 +28,7 @@ from lmss import (
     serialize,
     serialize_many,
 )
+from lmss.corpus import nonisomorphic_graphs
 from lmss.fixtures import fixture
 
 
@@ -113,6 +115,14 @@ def test_girth():
     for name in ("fig1_G", "fig4_G", "fig9_G2", "fig10_G"):
         g = fixture(name)
         assert girth(g) == oracles.girth(g.n, oracles.edges_of(g))
+
+
+def test_girth_and_is_forest_on_every_graph_up_to_7_vertices():
+    for n in range(8):
+        for g in nonisomorphic_graphs(n):
+            gi = girth(g)
+            assert gi == oracles.girth(g.n, oracles.edges_of(g)), g
+            assert is_forest(g) == (gi is None), g
 
 
 def test_corona_construction():

@@ -112,6 +112,40 @@ def test_canonical_key_invariant_under_relabeling(g, seed):
     assert canonical_key(relabeled) == canonical_key(g)
 
 
+@st.composite
+def twin_rich_graphs(draw):
+    """Stars K1,k (k <= 15), complete multipartite graphs (n <= 16) and
+    coronas with K1 parts over bases of at most 7 vertices."""
+    kind = draw(st.sampled_from(["star", "multipartite", "corona"]))
+    if kind == "star":
+        k = draw(st.integers(min_value=1, max_value=15))
+        return Graph.from_edges(k + 1, [(0, leaf) for leaf in range(1, k + 1)])
+    if kind == "multipartite":
+        n = draw(st.integers(min_value=1, max_value=16))
+        # a new part starts after vertex i when cuts[i] is set
+        cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        part = [0]
+        for cut in cuts:
+            part.append(part[-1] + cut)
+        return Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+        )
+    base = draw(graphs(max_n=7))
+    return corona(base, [complete(1)] * base.n)
+
+
+@given(twin_rich_graphs(), st.integers(min_value=0, max_value=2**30))
+@settings(deadline=None)
+def test_canonical_key_invariant_under_relabeling_with_twins(g, seed):
+    # K_{2,2,2,2,2,2,2,2} takes seconds: its parts are twins, but the
+    # symmetry that swaps two parts is no transposition
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert canonical_key(relabeled) == canonical_key(g)
+
+
 def _mask(s):
     return sum(1 << v for v in s)
 

@@ -223,6 +223,18 @@ def test_cli_generate_split_onto_a_file_exits_2(tmp_path):
     assert existing.read_text() == "keep\n"
 
 
+def test_cli_generate_below_a_file_names_the_file(tmp_path):
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep\n")
+    target = blocker / "x.txt"
+    code, out, err = run_cli(
+        "generate", "--source", "exhaustive", "--max-n", "3", "--output", str(target)
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "keep\n"
+
+
 def test_cli_generate_onto_a_directory_exits_2(tmp_path):
     code, out, err = run_cli(
         "generate", "--source", "exhaustive", "--max-n", "3", "--output", str(tmp_path)
