@@ -93,13 +93,11 @@ from .corpus import (
     canonical_graph,
     canonical_key,
     connected_graphs,
-    connected_graphs_upto,
     corona_family,
     iter_corpus,
     nonisomorphic_graphs,
     nonisomorphic_trees,
     random_graphs,
-    trees_upto,
 )
 from .report import ClassificationReport, analyze_graph, render_text
 from .theorems import RULES, VerificationSummary, Violation, verify

@@ -4,14 +4,13 @@ All predicates are exact.  Well-coveredness reads the maximal stable sets
 off the stable-set walk of ``stability``; the others test the definition
 directly.  The Koenig-Egervary tests read alpha and mu from the memoised
 recursions on the vertex mask (``stability._alpha_on``,
-``matching._mu_on``), so no 2^n table is built.  The well-covered
-predicates are cached per graph (graphs are immutable values).
+``matching._mu_on``), so no 2^n table is built.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
+from typing import Callable
 
 from .graphs import (
     Graph,
@@ -28,7 +27,6 @@ def maximal_stable_sets(g: Graph) -> list[int]:
     return [s for s, c in _stable_sets(g) if c == g.full_mask]
 
 
-@lru_cache(maxsize=1024)
 def is_well_covered(g: Graph) -> bool:
     """Every maximal stable set has maximum cardinality."""
     a = alpha(g)
@@ -39,14 +37,14 @@ def has_isolated_vertices(g: Graph) -> bool:
     return any(mask == 0 for mask in g.adj)
 
 
-@lru_cache(maxsize=1024)
 def is_very_well_covered(g: Graph) -> bool:
     """Well-covered, no isolated vertices, and |V| = 2 alpha."""
-    return (
-        not has_isolated_vertices(g)
-        and g.n == 2 * alpha(g)
-        and is_well_covered(g)
-    )
+    return _very_well_covered(g, lambda: is_well_covered(g))
+
+
+def _very_well_covered(g: Graph, well_covered: Callable[[], bool]) -> bool:
+    """The definition; the costly ``well_covered()`` is asked only if the rest holds."""
+    return not has_isolated_vertices(g) and g.n == 2 * alpha(g) and well_covered()
 
 
 def is_koenig_egervary(g: Graph) -> bool:

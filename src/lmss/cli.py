@@ -132,17 +132,18 @@ def _cmd_verify(args) -> int:
 def _cmd_generate(args) -> int:
     items = iter_corpus(_corpus_spec(args))
     out = Path(args.output)
+    folder = out if args.split else out.parent
     try:
+        folder.mkdir(parents=True, exist_ok=True)
         if args.split:
-            out.mkdir(parents=True, exist_ok=True)
             for it in items:
                 (out / f"{it.name}.txt").write_text(f"# {it.name}\n" + serialize(it.graph))
         else:
-            out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(serialize_many((it.name, it.graph) for it in items))
-    except FileExistsError as exc:
-        # mkdir(exist_ok=True) raises this only where a non-directory stands
-        raise UsageError(f"cannot write {out}: {exc.filename} is not a directory") from None
+    except (FileExistsError, NotADirectoryError):
+        # a non-directory stands on the folder's path: the nearest existing one
+        blocker = next(p for p in (folder, *folder.parents) if p.exists())
+        raise UsageError(f"cannot write {out}: {blocker} is not a directory") from None
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
     sys.stdout.write(f"{len(items)} graphs written\n")

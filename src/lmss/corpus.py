@@ -264,13 +264,6 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in nonisomorphic_graphs(n) if is_connected(g))
 
 
-def connected_graphs_upto(max_n: int) -> list[Graph]:
-    out: list[Graph] = []
-    for n in range(1, max_n + 1):
-        out.extend(connected_graphs(n))
-    return out
-
-
 @lru_cache(maxsize=None)
 def nonisomorphic_trees(n: int) -> tuple[Graph, ...]:
     """All trees on n vertices up to isomorphism, grown by leaf attachment."""
@@ -279,13 +272,6 @@ def nonisomorphic_trees(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
     return _augment(nonisomorphic_trees(n - 1), n, [1 << v for v in range(n - 1)])
-
-
-def trees_upto(max_n: int) -> list[Graph]:
-    out: list[Graph] = []
-    for n in range(1, max_n + 1):
-        out.extend(nonisomorphic_trees(n))
-    return out
 
 
 def random_graph(n: int, edge_probability: float, rng: random.Random) -> Graph:

@@ -204,7 +204,8 @@ def matching_from_chains(g: Graph) -> Matching:
     """
     if not is_very_well_covered(g):
         raise UsageError("matching_from_chains needs a very well-covered graph")
-    if not psi_is_greedoid(g, mode="fast").holds:
+    pm, cyc = _perfect_matching_and_cycle(g)
+    if pm is None or cyc is not None:
         raise UsageError("matching_from_chains needs a greedoid family")
     omega = omega_enumerate(g)
     s = VertexSet(g, omega.members[0])

@@ -487,6 +487,11 @@ def pm_edge_cycle_exclusion(g: Graph, m: Matching) -> tuple[bool, list[int] | No
 
         if not is_very_well_covered(g):
             raise UsageError("pm_edge_cycle_exclusion needs a very well-covered graph")
+    return _pm_edge_cycle_exclusion(g, m)
+
+
+def _pm_edge_cycle_exclusion(g: Graph, m: Matching) -> tuple[bool, list[int] | None]:
+    """``pm_edge_cycle_exclusion`` with no check of its preconditions."""
     for x, y in m.edges:
         common = g.adj[x] & g.adj[y]
         if common:

@@ -14,18 +14,23 @@ import time
 from dataclasses import dataclass, field
 
 from .graphs import Graph, bits, girth
-from .stability import alpha, psi_enumerate
+from .stability import alpha
 from .matching import _perfect_matching_and_cycle, count_perfect_matchings, mu
-from .classifiers import (
-    is_c4_free,
-    is_koenig_egervary,
-    is_triangle_free,
-    is_very_well_covered,
-    is_well_covered,
-)
-from .greedoid import check_accessibility, check_exchange
+from .classifiers import is_c4_free, is_koenig_egervary, is_triangle_free
+from .facts import Facts
 
 SCHEMA_VERSION = 1
+
+
+# The JSON layout: each section maps its keys to report fields.
+_LAYOUT = {
+    "graph": {k: k for k in ("name", "n", "edges", "labels")},
+    "invariants": {k: k for k in ("alpha", "mu", "girth", "perfect_matching_count", "psi_size")},
+    "predicates": {k: k for k in ("well_covered", "very_well_covered", "koenig_egervary",
+                                  "triangle_free", "c4_free", "unique_perfect_matching",
+                                  "accessibility", "exchange")},
+    "psi_greedoid": {k: f"psi_greedoid_{k}" for k in ("bruteforce", "fast", "auto")},
+}
 
 
 @dataclass(frozen=True)
@@ -59,40 +64,14 @@ class ClassificationReport:
                 raise ValueError("fast and brute-force greedoid verdicts disagree")
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "analysis",
-            "graph": {
-                "name": self.name,
-                "n": self.n,
-                "edges": [list(e) for e in self.edges],
-                "labels": list(self.labels) if self.labels else None,
-            },
-            "invariants": {
-                "alpha": self.alpha,
-                "mu": self.mu,
-                "girth": self.girth,
-                "perfect_matching_count": self.perfect_matching_count,
-                "psi_size": self.psi_size,
-            },
-            "predicates": {
-                "well_covered": self.well_covered,
-                "very_well_covered": self.very_well_covered,
-                "koenig_egervary": self.koenig_egervary,
-                "triangle_free": self.triangle_free,
-                "c4_free": self.c4_free,
-                "unique_perfect_matching": self.unique_perfect_matching,
-                "accessibility": self.accessibility,
-                "exchange": self.exchange,
-            },
-            "psi_greedoid": {
-                "bruteforce": self.psi_greedoid_bruteforce,
-                "fast": self.psi_greedoid_fast,
-                "auto": self.psi_greedoid_auto,
-            },
-            "certificates": self.certificates,
-            "timings_ms": self.timings_ms,
-        }
+        data = {"schema": SCHEMA_VERSION, "kind": "analysis"}
+        for section, keys in _LAYOUT.items():
+            data[section] = {key: getattr(self, f) for key, f in keys.items()}
+        data["graph"]["edges"] = [list(e) for e in self.edges]
+        data["graph"]["labels"] = list(self.labels) if self.labels else None
+        data["certificates"] = self.certificates
+        data["timings_ms"] = self.timings_ms
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -101,31 +80,10 @@ class ClassificationReport:
     def from_dict(cls, data: dict) -> "ClassificationReport":
         if data.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema {data.get('schema')!r}")
-        g, inv, pred, psi = data["graph"], data["invariants"], data["predicates"], data["psi_greedoid"]
-        return cls(
-            name=g["name"],
-            n=g["n"],
-            edges=tuple(tuple(e) for e in g["edges"]),
-            labels=tuple(g["labels"]) if g["labels"] else None,
-            alpha=inv["alpha"],
-            mu=inv["mu"],
-            girth=inv["girth"],
-            well_covered=pred["well_covered"],
-            very_well_covered=pred["very_well_covered"],
-            koenig_egervary=pred["koenig_egervary"],
-            triangle_free=pred["triangle_free"],
-            c4_free=pred["c4_free"],
-            perfect_matching_count=inv["perfect_matching_count"],
-            unique_perfect_matching=pred["unique_perfect_matching"],
-            psi_size=inv["psi_size"],
-            accessibility=pred["accessibility"],
-            exchange=pred["exchange"],
-            psi_greedoid_bruteforce=psi["bruteforce"],
-            psi_greedoid_fast=psi["fast"],
-            psi_greedoid_auto=psi["auto"],
-            certificates=data["certificates"],
-            timings_ms=data["timings_ms"],
-        )
+        fields = {f: data[section][key] for section, keys in _LAYOUT.items() for key, f in keys.items()}
+        fields["edges"] = tuple(tuple(e) for e in fields["edges"])
+        fields["labels"] = tuple(fields["labels"]) if fields["labels"] else None
+        return cls(**fields, certificates=data["certificates"], timings_ms=data["timings_ms"])
 
     @classmethod
     def from_json(cls, text: str) -> "ClassificationReport":
@@ -142,24 +100,30 @@ def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
         clock[key] = (time.perf_counter() - t0) * 1000.0
         return out
 
-    a = timed("alpha", lambda: alpha(g))
-    m = timed("mu", lambda: mu(g))
-    gi = timed("girth", lambda: girth(g))
-    wc = timed("well_covered", lambda: is_well_covered(g))
-    vwc = timed("very_well_covered", lambda: is_very_well_covered(g))
-    ke = timed("koenig_egervary", lambda: is_koenig_egervary(g))
-    tf = timed("triangle_free", lambda: is_triangle_free(g))
-    c4f = timed("c4_free", lambda: is_c4_free(g))
-    pm_count = timed("perfect_matching_count", lambda: count_perfect_matchings(g))
+    facts = Facts(g, name)
+    values = {
+        key: timed(key, fn)
+        for key, fn in (
+            ("alpha", lambda: alpha(g)),
+            ("mu", lambda: mu(g)),
+            ("girth", lambda: girth(g)),
+            ("well_covered", lambda: facts.well_covered),
+            ("very_well_covered", lambda: facts.very_well_covered),
+            ("koenig_egervary", lambda: is_koenig_egervary(g)),
+            ("triangle_free", lambda: is_triangle_free(g)),
+            ("c4_free", lambda: is_c4_free(g)),
+            ("perfect_matching_count", lambda: count_perfect_matchings(g)),
+        )
+    }
     # one search answers uniqueness and, on very well-covered graphs, the fast
     # greedoid verdict with its alternating-cycle certificate
     pm, cyc = timed("unique_perfect_matching", lambda: _perfect_matching_and_cycle(g))
     unique = pm is not None and cyc is None
-    family = timed("psi_enumerate", lambda: psi_enumerate(g))
-    access_ok, access_bad = timed("accessibility", lambda: check_accessibility(family))
-    exchange_ok, exchange_bad = timed("exchange", lambda: check_exchange(family))
+    family = timed("psi_enumerate", lambda: facts.psi)
+    access_ok, access_bad = timed("accessibility", lambda: facts.accessibility)
+    exchange_ok, exchange_bad = timed("exchange", lambda: facts.exchange)
     brute = access_ok and exchange_ok
-    fast = unique if vwc else None
+    fast = unique if facts.very_well_covered else None
 
     certificates: dict = {}
     if unique:
@@ -171,7 +135,7 @@ def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
             "x": list(bits(exchange_bad[0])),
             "y": list(bits(exchange_bad[1])),
         }
-    if vwc and cyc is not None:
+    if facts.very_well_covered and cyc is not None:
         certificates["alternating_cycle"] = {
             "vertices": list(cyc.vertices),
             "in_matching": list(cyc.in_matching),
@@ -182,15 +146,7 @@ def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
         n=g.n,
         edges=tuple((u, v) for u, v in g.edges()),
         labels=g.labels,
-        alpha=a,
-        mu=m,
-        girth=gi,
-        well_covered=wc,
-        very_well_covered=vwc,
-        koenig_egervary=ke,
-        triangle_free=tf,
-        c4_free=c4f,
-        perfect_matching_count=pm_count,
+        **values,
         unique_perfect_matching=unique,
         psi_size=len(family),
         accessibility=access_ok,

@@ -19,8 +19,9 @@ the graph's vertices.  It is validated once, when it is built, and the
 greedoid axiom checks read it as it is.
 
 The counting shortcut |S| = |N(S)| the paper licenses for very
-well-covered graphs lives only in ``psi_member_vwc``; rule lem3 and the
-test suite check it against the definition.
+well-covered graphs lives only in ``psi_member_vwc``, the growth test in
+``check_chain_growth``; rules lem3 and lem65 read their unchecked forms,
+and they and the test suite check both against the definition.
 """
 
 from __future__ import annotations
@@ -176,6 +177,11 @@ def psi_member_vwc(g: Graph, s: VertexSet) -> bool:
 
         if not is_very_well_covered(g):
             raise UsageError("psi_member_vwc needs a very well-covered graph")
+    return _psi_member_counting(g, mask)
+
+
+def _psi_member_counting(g: Graph, mask: int) -> bool:
+    """``psi_member_vwc`` on a mask, with no check of its preconditions."""
     return mask.bit_count() == neighborhood_bits(g, mask).bit_count()
 
 
@@ -222,6 +228,11 @@ def check_chain_growth(g: Graph, b: VertexSet, v: int | str) -> bool:
 
         if not is_very_well_covered(g):
             raise UsageError("check_chain_growth needs a very well-covered graph")
+    return _chain_grows(g, bmask, amask)
+
+
+def _chain_grows(g: Graph, bmask: int, amask: int) -> bool:
+    """``check_chain_growth`` on masks, with no check of its preconditions."""
     return (
         neighborhood_bits(g, amask).bit_count()
         == neighborhood_bits(g, bmask).bit_count() + 1

@@ -6,12 +6,12 @@ Wherever a statement equates two notions, the rule derives both sides
 through independent code paths (enumeration vs. search, counting vs.
 axioms) rather than trusting one implementation twice.
 
-The definitional uniquely-restricted test (th9, th22, equiv7) counts the
-perfect matchings of the subgraph induced by a matching's saturated
-vertices, on the saturated mask of the graph itself.  One count memo per
-corpus item serves all of that item's matchings, since their saturated
-masks share sub-masks, and is dropped when the item is done.  The count
-shares no code with the alternating-cycle search it is compared with.
+A rule receives the item's ``Facts`` and reads from it the facts that
+other rules also read: psi and its axioms, omega, the maximum and perfect
+matchings, (very) well-coveredness, and the perfect-matching counts of
+saturated masks behind the definitional uniquely-restricted test (th9,
+th22, equiv7).  That count shares no code with the alternating-cycle
+search it is compared with.
 
 th9 reads the matching walk itself: for every matching it runs both
 routes on the walk's masks, the alternating-cycle walk on the mate array
@@ -21,33 +21,22 @@ describe a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .graphs import Graph, UsageError, VertexSet, bits, serialize
-from .stability import (
-    _psi_member_bits,
-    _stable_sets,
-    alpha,
-    check_chain_growth,
-    omega_enumerate,
-    psi_enumerate,
-    psi_member_vwc,
-)
+from .stability import _chain_grows, _psi_member_bits, _psi_member_counting, _stable_sets, alpha
 from .matching import (
     Matching,
-    _count_perfect_matchings_on,
     _cycle_free,
     _matching_walk,
+    _pm_edge_cycle_exclusion,
     count_perfect_matchings,
-    enumerate_maximum_matchings,
-    enumerate_perfect_matchings,
     find_alternating_c4,
     has_unique_perfect_matching,
     check_property_p,
     is_uniquely_restricted,
     mu,
-    pm_edge_cycle_exclusion,
 )
 from .classifiers import (
     has_isolated_vertices,
@@ -55,12 +44,11 @@ from .classifiers import (
     is_c4_free,
     is_forest,
     is_koenig_egervary,
-    is_very_well_covered,
-    is_well_covered,
     psi_neighborhoods_are_ke,
 )
-from .corpus import CorpusItem, CorpusSpec, iter_corpus
-from .greedoid import check_accessibility, check_exchange, psi_is_greedoid
+from .corpus import CorpusSpec, iter_corpus
+from .facts import Facts
+from .greedoid import psi_is_greedoid
 
 
 @dataclass(frozen=True)
@@ -70,68 +58,48 @@ class Violation:
     detail: str
     edge_list: str
 
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "item": self.item,
-            "detail": self.detail,
-            "edge_list": self.edge_list,
-        }
 
-
-def _violation(rule: str, item: CorpusItem, detail: str) -> Violation:
+def _violation(rule: str, item: Facts, detail: str) -> Violation:
     return Violation(rule, item.name, detail, serialize(item.graph))
-
-
-def _unique_pm_of_saturated(g: Graph, saturated: int, memo: dict[int, int]) -> bool:
-    """Definitional uniquely-restricted test: count perfect matchings of the
-    subgraph induced by the saturated vertices.
-
-    ``memo`` is the count memo of g, shared by every matching of one item.
-    """
-    return _count_perfect_matchings_on(g, saturated, memo) == 1
 
 
 # ------------------------------------------------------------------ rules
 
 
-def _check_th1(item: CorpusItem) -> list[Violation]:
+def _check_th1(item: Facts) -> list[Violation]:
     g = item.graph
-    omega = omega_enumerate(g).members
+    omega = item.omega.members
     return [
         _violation("th1", item, f"{VertexSet(g, s)!r} extends to no maximum stable set")
-        for s in psi_enumerate(g).members
+        for s in item.psi.members
         if all(s & ~m for m in omega)
     ]
 
 
-def _check_th2(item: CorpusItem) -> list[Violation]:
-    g = item.graph
-    if not is_forest(g):
+def _check_th2(item: Facts) -> list[Violation]:
+    if not is_forest(item.graph):
         return []
-    if not psi_is_greedoid(g, mode="bruteforce").holds:
+    if not item.greedoid:
         return [_violation("th2", item, "forest whose family fails the axioms")]
     return []
 
 
-def _check_th3(item: CorpusItem) -> list[Violation]:
-    g = item.graph
-    if not is_very_well_covered(g):
+def _check_th3(item: Facts) -> list[Violation]:
+    if not item.very_well_covered:
         return []
-    ok, witness = psi_neighborhoods_are_ke(g)
+    ok, witness = psi_neighborhoods_are_ke(item.graph)
     if not ok:
         return [_violation("th3", item, f"N[{witness!r}] induces a non-Koenig-Egervary graph")]
     return []
 
 
-def _check_th4(item: CorpusItem) -> list[Violation]:
+def _check_th4(item: Facts) -> list[Violation]:
     g = item.graph
     if not is_koenig_egervary(g):
         return []
     out = []
-    omega = omega_enumerate(g)
-    for m in enumerate_maximum_matchings(g):
-        for s in omega.members:
+    for m in item.maximum_matchings:
+        for s in item.omega.members:
             crossing = all((s >> u & 1) != (s >> v & 1) for u, v in m.edges)
             if not crossing:
                 out.append(
@@ -156,20 +124,18 @@ def _check_th4(item: CorpusItem) -> list[Violation]:
     return out
 
 
-def _check_th7(item: CorpusItem) -> list[Violation]:
-    g = item.graph
-    f = psi_enumerate(g)
-    if check_accessibility(f)[0] and not check_exchange(f)[0]:
+def _check_th7(item: Facts) -> list[Violation]:
+    if item.accessibility[0] and not item.exchange[0]:
         return [_violation("th7", item, "family is accessible but fails exchange")]
     return []
 
 
-def _check_th8(item: CorpusItem) -> list[Violation]:
+def _check_th8(item: Facts) -> list[Violation]:
     g = item.graph
-    if not is_very_well_covered(g):
+    if not item.very_well_covered:
         return []
     out = []
-    brute = psi_is_greedoid(g, mode="bruteforce").holds
+    brute = item.greedoid
     unique = has_unique_perfect_matching(g)[0]
     if brute != unique:
         out.append(
@@ -180,13 +146,12 @@ def _check_th8(item: CorpusItem) -> list[Violation]:
     return out
 
 
-def _check_th9(item: CorpusItem) -> list[Violation]:
+def _check_th9(item: Facts) -> list[Violation]:
     g = item.graph
     out = []
-    memo: dict[int, int] = {}
     for pairs, mate, saturated in _matching_walk(g):
         by_cycle = _cycle_free(g.adj, pairs, mate)
-        by_count = _unique_pm_of_saturated(g, saturated, memo)
+        by_count = item.unique_pm_on(saturated)
         if by_cycle != by_count:
             m = Matching(g, pairs)
             out.append(
@@ -195,71 +160,65 @@ def _check_th9(item: CorpusItem) -> list[Violation]:
     return out
 
 
-def _check_th10iv(item: CorpusItem) -> list[Violation]:
+def _check_th10iv(item: Facts) -> list[Violation]:
     if item.base is None:
         raise UsageError("th10iv needs a corona corpus")
-    whole = psi_is_greedoid(item.graph, mode="bruteforce").holds
+    whole = item.greedoid
     parts = all(psi_is_greedoid(h, mode="bruteforce").holds for h in item.parts)
     if whole != parts:
         return [_violation("th10iv", item, f"corona verdict {whole}, attached-part verdict {parts}")]
     return []
 
 
-def _check_th11(item: CorpusItem) -> list[Violation]:
+def _check_th11(item: Facts) -> list[Violation]:
     g = item.graph
     if has_isolated_vertices(g):
         return []
-    pms = enumerate_perfect_matchings(g)
+    pms = item.perfect_matchings
     rhs = bool(pms) and all(check_property_p(g, m)[0] for m in pms)
-    lhs = is_very_well_covered(g)
+    lhs = item.very_well_covered
     if lhs != rhs:
         return [_violation("th11", item, f"very-well-covered {lhs}, perfect-matching property {rhs}")]
     return []
 
 
-def _check_th22(item: CorpusItem) -> list[Violation]:
-    g = item.graph
-    if not is_bipartite(g):
+def _check_th22(item: Facts) -> list[Violation]:
+    if not is_bipartite(item.graph):
         return []
-    lhs = psi_is_greedoid(g, mode="bruteforce").holds
-    memo: dict[int, int] = {}
-    rhs = all(
-        _unique_pm_of_saturated(g, m.saturated_bits, memo) for m in enumerate_maximum_matchings(g)
-    )
+    lhs = item.greedoid
+    rhs = all(item.unique_pm_on(m.saturated_bits) for m in item.maximum_matchings)
     if lhs != rhs:
         return [_violation("th22", item, f"greedoid {lhs}, all-maximum-matchings-restricted {rhs}")]
     return []
 
 
-def _check_th88iii(item: CorpusItem) -> list[Violation]:
+def _check_th88iii(item: Facts) -> list[Violation]:
     g = item.graph
     if has_isolated_vertices(g):
         return []
-    lhs = is_very_well_covered(g)
-    rhs = is_well_covered(g) and is_koenig_egervary(g)
+    lhs = item.very_well_covered
+    rhs = item.well_covered and is_koenig_egervary(g)
     if lhs != rhs:
         return [_violation("th88iii", item, f"very-well-covered {lhs}, well-covered+KE {rhs}")]
     return []
 
 
-def _check_th88iv(item: CorpusItem) -> list[Violation]:
+def _check_th88iv(item: Facts) -> list[Violation]:
     if item.base is None:
         raise UsageError("th88iv needs a corona corpus")
-    g = item.graph
-    lhs = is_well_covered(g)
+    lhs = item.well_covered
     rhs = all(2 * h.edge_count == h.n * (h.n - 1) for h in item.parts)
     if lhs != rhs:
         return [_violation("th88iv", item, f"well-covered {lhs}, all-parts-complete {rhs}")]
     return []
 
 
-def _check_lem1(item: CorpusItem) -> list[Violation]:
-    g = item.graph
-    if not is_very_well_covered(g):
+def _check_lem1(item: Facts) -> list[Violation]:
+    if not item.very_well_covered:
         return []
     out = []
-    for m in enumerate_perfect_matchings(g):
-        ok, cyc = pm_edge_cycle_exclusion(g, m)
+    for m in item.perfect_matchings:
+        ok, cyc = _pm_edge_cycle_exclusion(item.graph, m)
         if not ok:
             out.append(
                 _violation("lem1", item, f"matched edge on a chordless cycle {cyc} under {m!r}")
@@ -267,12 +226,12 @@ def _check_lem1(item: CorpusItem) -> list[Violation]:
     return out
 
 
-def _check_lem2(item: CorpusItem) -> list[Violation]:
+def _check_lem2(item: Facts) -> list[Violation]:
     g = item.graph
-    if not is_very_well_covered(g):
+    if not item.very_well_covered:
         return []
     out = []
-    for m in enumerate_maximum_matchings(g):
+    for m in item.maximum_matchings:
         any_cycle = not is_uniquely_restricted(g, m)
         any_square = find_alternating_c4(g, m) is not None
         if any_cycle != any_square:
@@ -282,47 +241,45 @@ def _check_lem2(item: CorpusItem) -> list[Violation]:
     return out
 
 
-def _check_lem3(item: CorpusItem) -> list[Violation]:
+def _check_lem3(item: Facts) -> list[Violation]:
     g = item.graph
-    if not is_very_well_covered(g):
+    if not item.very_well_covered:
         return []
     out = []
     for mask, _ in _stable_sets(g):
-        s = VertexSet(g, mask)
-        if psi_member_vwc(g, s) != _psi_member_bits(g, mask):
+        if _psi_member_counting(g, mask) != _psi_member_bits(g, mask):
+            s = VertexSet(g, mask)
             out.append(_violation("lem3", item, f"counting and oracle membership split on {s!r}"))
     return out
 
 
-def _check_lem65(item: CorpusItem) -> list[Violation]:
+def _check_lem65(item: Facts) -> list[Violation]:
     g = item.graph
-    if not is_very_well_covered(g):
+    if not item.very_well_covered:
         return []
     out = []
-    for bmask in psi_enumerate(g).members:
+    for bmask in item.psi.members:
         for v in bits(g.full_mask & ~bmask):
             if g.adj[v] & bmask:
                 continue
             amask = bmask | 1 << v
-            grown = check_chain_growth(g, VertexSet(g, bmask), v)
-            if grown != _psi_member_bits(g, amask):
+            if _chain_grows(g, bmask, amask) != _psi_member_bits(g, amask):
                 out.append(
                     _violation("lem65", item, f"growth test and oracle split on {bmask:#x}+{v}")
                 )
     return out
 
 
-def _check_equiv7(item: CorpusItem) -> list[Violation]:
+def _check_equiv7(item: Facts) -> list[Violation]:
     g = item.graph
-    if not is_very_well_covered(g):
+    if not item.very_well_covered:
         return []
-    mm = enumerate_maximum_matchings(g)
-    memo: dict[int, int] = {}
-    restricted = [_unique_pm_of_saturated(g, m.saturated_bits, memo) for m in mm]
+    mm = item.maximum_matchings
+    restricted = [item.unique_pm_on(m.saturated_bits) for m in mm]
     cycle_free = [is_uniquely_restricted(g, m) for m in mm]
     square_free = [find_alternating_c4(g, m) is None for m in mm]
     preds = {
-        "greedoid": psi_is_greedoid(g, mode="bruteforce").holds,
+        "greedoid": item.greedoid,
         "some_restricted": any(restricted),
         "some_cycle_free": any(cycle_free),
         "some_square_free": any(square_free),
@@ -335,14 +292,14 @@ def _check_equiv7(item: CorpusItem) -> list[Violation]:
     return []
 
 
-def _check_c4free_corollary(item: CorpusItem) -> list[Violation]:
+def _check_c4free_corollary(item: Facts) -> list[Violation]:
     g = item.graph
-    if not (is_very_well_covered(g) and is_c4_free(g)):
+    if not (item.very_well_covered and is_c4_free(g)):
         return []
     out = []
     if count_perfect_matchings(g) != 1:
         out.append(_violation("c4free-corollary", item, "no unique perfect matching"))
-    if not psi_is_greedoid(g, mode="bruteforce").holds:
+    if not item.greedoid:
         out.append(_violation("c4free-corollary", item, "family is not a greedoid"))
     return out
 
@@ -352,7 +309,7 @@ class Rule:
     name: str
     describe: str
     needs_corona: bool
-    check: Callable[[CorpusItem], list[Violation]]
+    check: Callable[[Facts], list[Violation]]
 
 
 RULES: dict[str, Rule] = {
@@ -404,7 +361,7 @@ class RuleReport:
         return {
             "rule": self.rule,
             "checked": self.checked,
-            "violations": [v.to_dict() for v in self.violations],
+            "violations": [asdict(v) for v in self.violations],
         }
 
 
@@ -434,8 +391,8 @@ class VerificationSummary:
 
 def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
     """Run the named rules over the corpus, item-major: every rule checks
-    one item before the next item starts, so the per-graph caches built for
-    one rule serve the others.  Reports keep the requested order and
+    one item's ``Facts`` before the next item starts, so a fact computed
+    for one rule serves the others.  Reports keep the requested order and
     violations keep corpus order.  Every rule name is validated before the
     corpus is built; an empty corpus is a usage error, since it would pass
     every rule."""
@@ -452,8 +409,9 @@ def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
         raise UsageError("the corpus is empty: no graph to check")
     found: list[list[Violation]] = [[] for _ in rules]
     for it in items:
+        facts = Facts(it.graph, it.name, it.base, it.parts)
         for rule, out in zip(rules, found):
-            out.extend(rule.check(it))
+            out.extend(rule.check(facts))
     reports = tuple(
         RuleReport(name, len(items), tuple(out)) for name, out in zip(rule_names, found)
     )

@@ -2,17 +2,17 @@ import sys
 
 import pytest
 
-from lmss.corpus import connected_graphs_upto
+from lmss.corpus import connected_graphs
 
 
 @pytest.fixture(scope="session")
 def connected_upto_6():
-    return connected_graphs_upto(6)
+    return [g for n in range(1, 7) for g in connected_graphs(n)]
 
 
 @pytest.fixture(scope="session")
 def connected_upto_8():
-    return connected_graphs_upto(8)
+    return [g for n in range(1, 9) for g in connected_graphs(n)]
 
 
 @pytest.fixture

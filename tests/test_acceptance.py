@@ -24,7 +24,7 @@ from lmss import (
     psi_neighborhoods_are_ke,
     verify,
 )
-from lmss.corpus import trees_upto
+from lmss.corpus import nonisomorphic_trees
 from lmss.fixtures import fixture, named_edges
 from lmss.matching import Matching
 
@@ -192,7 +192,7 @@ def test_criterion_6_corona_suites():
 
 
 def test_criterion_7_forest_and_bipartite_suites():
-    trees = trees_upto(9)
+    trees = [t for n in range(1, 10) for t in nonisomorphic_trees(n)]
     tree_bad = [
         t for t in trees if not psi_is_greedoid(t, mode="bruteforce").holds
     ]

@@ -19,7 +19,7 @@ from lmss import (
     psi_is_greedoid,
     psi_member_oracle,
 )
-from lmss.corpus import CorpusItem
+from lmss.facts import Facts
 from lmss.fixtures import fixture
 from lmss.theorems import _check_th7
 
@@ -72,7 +72,7 @@ def test_is_greedoid_against_oracle(connected_upto_6):
 def test_accessibility_implies_greedoid(connected_upto_6):
     graphs = [*connected_upto_6, fixture("fig1_H"), path(4)]  # fig1_H: vacuous
     for i, g in enumerate(graphs):
-        assert _check_th7(CorpusItem(f"g{i}", g)) == []
+        assert _check_th7(Facts(g, f"g{i}")) == []
 
 
 def test_psi_is_greedoid_modes_and_certificates():

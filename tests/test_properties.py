@@ -37,7 +37,7 @@ from lmss import (
     psi_enumerate,
     serialize,
 )
-from lmss.corpus import connected_graphs_upto, nonisomorphic_graphs
+from lmss.corpus import nonisomorphic_graphs
 from lmss.matching import _mu_on
 from lmss.stability import _alpha_on, _stable_sets
 
@@ -247,7 +247,7 @@ def test_corona_with_single_vertices_is_vwc():
         assert has_pendant_perfect_matching(c)
 
 
-def test_girth_structure_of_well_covered_graphs():
+def test_girth_structure_of_well_covered_graphs(connected_upto_8):
     """Corpus sweeps for the two girth-based structure statements.
 
     Girth >= 6, connected, not a 7-cycle, not a single vertex:
@@ -255,8 +255,7 @@ def test_girth_structure_of_well_covered_graphs():
     Girth >= 5: very well-covered exactly when a pendant perfect
     matching exists.  Forests count as infinite girth.
     """
-    corpus = connected_graphs_upto(8)
-    for g in corpus:
+    for g in connected_upto_8:
         gi = girth(g)
         high_girth = gi is None or gi >= 6
         med_girth = gi is None or gi >= 5
@@ -267,7 +266,7 @@ def test_girth_structure_of_well_covered_graphs():
             assert is_well_covered(g) == has_pendant_perfect_matching(g), g
 
 
-def test_very_well_covered_graphs_have_perfect_matchings():
-    for g in connected_graphs_upto(7):
-        if is_very_well_covered(g):
+def test_very_well_covered_graphs_have_perfect_matchings(connected_upto_8):
+    for g in connected_upto_8:
+        if g.n <= 7 and is_very_well_covered(g):
             assert mu(g) * 2 == g.n

@@ -68,6 +68,22 @@ def test_analyze_runs_one_unique_matching_search(patch_lmss):
         assert len(calls) == 1, name
 
 
+def test_analyze_computes_well_covered_once(patch_lmss):
+    # fig8_G1 is very well-covered, so the report asks well-coveredness both
+    # for itself and inside very-well-coveredness
+    original = lmss.classifiers.is_well_covered
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    patch_lmss(original, counting)
+    report = analyze_graph(fixture("fig8_G1"), name="fig8_G1")
+    assert report.well_covered and report.very_well_covered
+    assert len(calls) == 1
+
+
 def test_report_json_roundtrip():
     for name in ("fig8_G1", "fig10_G", "fig4_G", "fig9_G2"):
         r = analyze_graph(fixture(name), name=name)
@@ -226,13 +242,17 @@ def test_cli_generate_split_onto_a_file_exits_2(tmp_path):
 def test_cli_generate_below_a_file_names_the_file(tmp_path):
     blocker = tmp_path / "afile"
     blocker.write_text("keep\n")
-    target = blocker / "x.txt"
-    code, out, err = run_cli(
-        "generate", "--source", "exhaustive", "--max-n", "3", "--output", str(target)
-    )
-    assert code == 2 and out == ""
-    assert err == f"error: cannot write {target}: {blocker} is not a directory\n"
-    assert blocker.read_text() == "keep\n"
+    for target, split in (
+        (blocker / "x.txt", ()),
+        (blocker / "sub" / "x.txt", ()),
+        (blocker / "sub", ("--split",)),
+    ):
+        code, out, err = run_cli(
+            "generate", "--source", "exhaustive", "--max-n", "3", "--output", str(target), *split
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {target}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "keep\n"
 
 
 def test_cli_generate_onto_a_directory_exits_2(tmp_path):

@@ -1,8 +1,9 @@
 import pytest
 
 from lmss import CorpusSpec, Matching, UsageError, corona, complete, cycle, fixture, verify
-from lmss.corpus import CorpusItem, iter_corpus
-from lmss.classifiers import is_very_well_covered
+from lmss.corpus import iter_corpus
+from lmss.classifiers import is_well_covered
+from lmss.facts import Facts
 from lmss.matching import _alternating_cycles, _count_perfect_matchings_on
 from lmss.theorems import RULES, _check_th10iv
 
@@ -36,11 +37,11 @@ def test_verify_rejects_unknown_rule_and_wrong_corpus():
 
 def test_corona_rules_on_nontrivial_parts():
     # attached parts with a non-greedoid family force the corona verdict down
-    wheel_item = CorpusItem("w", corona(complete(1), [cycle(4)]), base=complete(1), parts=(cycle(4),))
+    wheel_item = Facts(corona(complete(1), [cycle(4)]), "w", base=complete(1), parts=(cycle(4),))
     assert _check_th10iv(wheel_item) == []  # the rule holds: both sides are False
     from lmss import psi_is_greedoid
     assert not psi_is_greedoid(wheel_item.graph).holds
-    good = CorpusItem("k", corona(complete(1), [complete(3)]), base=complete(1), parts=(complete(3),))
+    good = Facts(corona(complete(1), [complete(3)]), "k", base=complete(1), parts=(complete(3),))
     assert _check_th10iv(good) == []
     assert psi_is_greedoid(good.graph).holds
 
@@ -77,16 +78,22 @@ def test_verify_validates_every_rule_before_running_any(monkeypatch):
     assert calls == []
 
 
-def test_verify_item_major_fills_each_vwc_cache_once():
-    # 1,100 draws holding 1,092 distinct graphs: more than the 1,024 entries of
-    # the predicate cache, so a rule-major sweep would miss twice per graph;
-    # th8 and th3 both ask is_very_well_covered first on every item
-    spec = CorpusSpec(source="random", count=1100, n=7, edge_probability=0.3, seed=1)
-    distinct = len({item.graph for item in iter_corpus(spec)})
-    assert distinct == 1092
-    is_very_well_covered.cache_clear()
-    assert verify(spec, ["th8", "th3"]).passed
-    assert is_very_well_covered.cache_info().misses == distinct
+def test_verify_computes_well_covered_once_per_item(patch_lmss):
+    # th8 and th3 ask very-well-coveredness, which asks well-coveredness on
+    # the 143 of these 177 graphs with |V| = 2 alpha; th88iii asks both on
+    # every item, as none has an isolated vertex; 18 graphs are very
+    # well-covered, so th3 reads on past the question
+    spec = CorpusSpec(source="random", count=300, n=6, edge_probability=0.4, seed=1,
+                      filter="connected")
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return is_well_covered(g)
+
+    patch_lmss(is_well_covered, counting)
+    assert verify(spec, ["th8", "th3", "th88iii"]).passed
+    assert calls == [item.graph for item in iter_corpus(spec)]
 
 
 def test_multi_rule_reports_equal_single_rule_reports(monkeypatch):
@@ -119,7 +126,7 @@ def test_th4_checker_on_ke_graphs(connected_upto_6):
     from lmss.theorems import _check_th4
 
     for g in connected_upto_6[:60]:
-        assert _check_th4(CorpusItem("g", g)) == []
+        assert _check_th4(Facts(g, "g")) == []
 
 
 def _th9_details_on_fig1_H():
