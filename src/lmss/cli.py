@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .graphs import (
@@ -21,43 +22,31 @@ from .graphs import (
     serialize_many,
 )
 from .fixtures import fixture, fixture_names
-from .corpus import CorpusSpec, iter_corpus
+from .corpus import FILTERS, SOURCES, CorpusSpec, iter_corpus
 from .report import analyze_graph, render_text
 from .theorems import RULES, verify
 
 
 def _corpus_spec(args) -> CorpusSpec:
-    return CorpusSpec(
-        source=args.source,
-        max_n=args.max_n,
-        count=args.count,
-        n=args.n,
-        edge_probability=args.p,
-        seed=args.seed,
-        fixtures=tuple(args.fixture or ()),
-        max_x=args.max_x,
-        max_h=args.max_h,
-        max_total=args.max_total,
-        filter=args.filter,
-    )
+    """The spec of the corpus flags given; ``CorpusSpec`` fills in the rest."""
+    given = {f.name: getattr(args, f.name) for f in fields(CorpusSpec)}
+    return CorpusSpec(**{name: value for name, value in given.items() if value is not None})
 
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source", choices=["exhaustive", "random", "coronas", "fixtures"],
-                   default="exhaustive")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="largest vertex count for exhaustive corpora")
-    p.add_argument("--count", type=int, default=None, help="random: number of graphs")
-    p.add_argument("--n", type=int, default=None, help="random: vertices per graph")
-    p.add_argument("--p", type=float, default=None, help="random: edge probability")
-    p.add_argument("--seed", type=int, default=None, help="random: RNG seed (required)")
-    p.add_argument("--fixture", action="append", metavar="NAME",
-                   help="fixtures source: may repeat")
-    p.add_argument("--max-x", type=int, default=3, help="coronas: largest base size")
-    p.add_argument("--max-h", type=int, default=3, help="coronas: largest attached size")
-    p.add_argument("--max-total", type=int, default=12, help="coronas: largest total size")
-    p.add_argument("--filter", choices=["none", "vwc", "bipartite", "forest", "connected"],
-                   default="none")
+    # each flag's dest is the CorpusSpec field it sets, which the spec validates
+    p.add_argument("--source", choices=list(SOURCES))
+    p.add_argument("--max-n", type=int, help="largest vertex count")
+    p.add_argument("--count", type=int, help="number of graphs")
+    p.add_argument("--n", type=int, help="vertices per graph")
+    p.add_argument("--p", type=float, dest="edge_probability", help="edge probability")
+    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--fixture", action="append", dest="fixtures", metavar="NAME",
+                   help="fixture name; may repeat")
+    p.add_argument("--max-x", type=int, help="largest corona base size")
+    p.add_argument("--max-h", type=int, help="largest attached part size")
+    p.add_argument("--max-total", type=int, help="largest corona size")
+    p.add_argument("--filter", choices=list(FILTERS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,10 +101,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = sorted(RULES) if "all" in args.theorem else args.theorem
-    if "all" in args.theorem and args.source != "coronas":
-        names = [n for n in names if not RULES[n].needs_corona]
-    summary = verify(_corpus_spec(args), names)
+    summary = verify(_corpus_spec(args), args.theorem)
     if args.format == "json":
         sys.stdout.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
     else:

@@ -1,5 +1,9 @@
 """Corpus generation: exhaustive small graphs, trees, seeded random graphs, coronas.
 
+A corpus source is one entry of ``SOURCES``: a builder whose parameters
+are the ``CorpusSpec`` fields it reads, with their defaults.  Everything
+else reads that table and ``FILTERS``, so a new source is one entry there.
+
 Exhaustive generation augments the (n-1)-vertex catalogue by one vertex
 and rejects isomorphs by a canonical key.  Graphs try every neighbourhood
 of the new vertex, trees every single neighbour.  Feasible through n = 8;
@@ -38,10 +42,13 @@ representatives and their order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from inspect import Parameter, signature
 from itertools import combinations, product
 from math import factorial
+from typing import NamedTuple
 
 from . import classifiers
 from .graphs import Graph, UsageError, bits, corona, is_connected
@@ -274,19 +281,14 @@ def nonisomorphic_trees(n: int) -> tuple[Graph, ...]:
     return _augment(nonisomorphic_trees(n - 1), n, [1 << v for v in range(n - 1)])
 
 
-def random_graph(n: int, edge_probability: float, rng: random.Random) -> Graph:
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < edge_probability
-    ]
-    return Graph.from_edges(n, edges)
-
-
 def random_graphs(count: int, n: int, edge_probability: float, seed: int) -> list[Graph]:
+    """``count`` graphs G(n, p) from one seeded generator, pairs in lexicographic order."""
     rng = random.Random(seed)
-    return [random_graph(n, edge_probability, rng) for _ in range(count)]
+    pairs = list(combinations(range(n), 2))
+    return [
+        Graph.from_edges(n, [e for e in pairs if rng.random() < edge_probability])
+        for _ in range(count)
+    ]
 
 
 @dataclass(frozen=True)
@@ -319,93 +321,104 @@ def corona_family(max_x: int = 3, max_h: int = 3, max_total: int = 12) -> list[C
     return items
 
 
+def _exhaustive(max_n: int) -> list[CorpusItem]:
+    return [
+        CorpusItem(name=f"g{n}_{i:05d}", graph=g)
+        for n in range(1, max_n + 1)
+        for i, g in enumerate(connected_graphs(n))
+    ]
+
+
+def _random(count: int, n: int, edge_probability: float, seed: int) -> list[CorpusItem]:
+    return [
+        CorpusItem(name=f"r{n}_{i:05d}", graph=g)
+        for i, g in enumerate(random_graphs(count, n, edge_probability, seed))
+    ]
+
+
+def _fixtures(fixtures: tuple[str, ...]) -> list[CorpusItem]:
+    return [CorpusItem(name=name, graph=fixture(name)) for name in fixtures]
+
+
+class Source(NamedTuple):
+    """A corpus source's builder, and whether its items carry corona parts."""
+
+    build: Callable[..., list[CorpusItem]]
+    carries_parts: bool = False
+
+    @property
+    def reads(self) -> Mapping[str, Parameter]:
+        return signature(self.build).parameters
+
+
+SOURCES: dict[str, Source] = {
+    "exhaustive": Source(_exhaustive),
+    "random": Source(_random),
+    "coronas": Source(corona_family, carries_parts=True),
+    "fixtures": Source(_fixtures),
+}
+
+FILTERS: dict[str, Callable[[Graph], bool]] = {
+    "none": lambda g: True,
+    "vwc": classifiers.is_very_well_covered,
+    "bipartite": classifiers.is_bipartite,
+    "forest": classifiers.is_forest,
+    "connected": is_connected,
+}
+
+_COUNTS = ("max_n", "count", "n", "max_x", "max_h", "max_total")  # a seed may be any integer
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
-    """What to generate: exhaustive | random | coronas | fixtures, plus a filter."""
+    """A source of ``SOURCES``, the fields it reads, and a filter of ``FILTERS``."""
 
-    source: str
+    source: str = "exhaustive"
     max_n: int | None = None
     count: int | None = None
     n: int | None = None
     edge_probability: float | None = None
     seed: int | None = None
-    fixtures: tuple[str, ...] = ()
-    max_x: int = 3
-    max_h: int = 3
-    max_total: int = 12
+    fixtures: tuple[str, ...] | None = None
+    max_x: int | None = None
+    max_h: int | None = None
+    max_total: int | None = None
     filter: str = "none"
 
     def __post_init__(self):
-        if self.source not in ("exhaustive", "random", "coronas", "fixtures"):
+        if self.source not in SOURCES:
             raise UsageError(f"unknown corpus source {self.source!r}")
-        if self.source == "exhaustive" and not self.max_n:
-            raise UsageError("exhaustive corpora need max_n")
-        for field in ("max_n", "count", "n"):
-            value = getattr(self, field)
-            if value is not None and value < 1:
-                raise UsageError(f"{field} must be at least 1, got {value}")
+        if self.filter not in FILTERS:
+            raise UsageError(f"unknown corpus filter {self.filter!r}")
+        reads = SOURCES[self.source].reads
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in reads:
+                if value is None:
+                    if reads[f.name].default is Parameter.empty:
+                        raise UsageError(f"{self.source} corpora need {f.name}")
+                    object.__setattr__(self, f.name, reads[f.name].default)
+            elif value is not None and f.name not in ("source", "filter"):
+                raise UsageError(f"{self.source} corpora do not read {f.name}")
+            if f.name in _COUNTS and value is not None and value < 1:
+                raise UsageError(f"{f.name} must be at least 1, got {value}")
         if self.edge_probability is not None and not 0 <= self.edge_probability <= 1:
             raise UsageError(f"edge_probability must lie in [0, 1], got {self.edge_probability}")
-        if self.source == "random":
-            if self.seed is None:
-                raise UsageError("random corpora need an explicit seed")
-            if not self.count or not self.n or self.edge_probability is None:
-                raise UsageError("random corpora need count, n and edge_probability")
-        if self.source == "fixtures" and not self.fixtures:
+        if self.fixtures is not None and not self.fixtures:
             raise UsageError("fixture corpora need at least one fixture name")
-        if self.filter not in ("none", "vwc", "bipartite", "forest", "connected"):
-            raise UsageError(f"unknown corpus filter {self.filter!r}")
+
+    @property
+    def carries_parts(self) -> bool:
+        """Whether every item carries the base and parts of its corona."""
+        return SOURCES[self.source].carries_parts
 
     def to_dict(self) -> dict:
-        out = {"source": self.source, "filter": self.filter}
-        if self.source == "exhaustive":
-            out["max_n"] = self.max_n
-        elif self.source == "random":
-            out.update(
-                count=self.count,
-                n=self.n,
-                edge_probability=self.edge_probability,
-                seed=self.seed,
-            )
-        elif self.source == "coronas":
-            out.update(max_x=self.max_x, max_h=self.max_h, max_total=self.max_total)
-        else:
-            out["fixtures"] = list(self.fixtures)
-        return out
-
-
-def _passes(g: Graph, name: str) -> bool:
-    if name == "none":
-        return True
-    if name == "connected":
-        return is_connected(g)
-    if name == "vwc":
-        return classifiers.is_very_well_covered(g)
-    if name == "bipartite":
-        return classifiers.is_bipartite(g)
-    if name == "forest":
-        return classifiers.is_forest(g)
-    raise UsageError(f"unknown corpus filter {name!r}")
+        reads = {name: getattr(self, name) for name in SOURCES[self.source].reads}
+        return {"source": self.source, "filter": self.filter, **reads}
 
 
 def iter_corpus(spec: CorpusSpec) -> list[CorpusItem]:
     """Materialise the corpus a spec describes, deterministically."""
-    items: list[CorpusItem]
-    if spec.source == "exhaustive":
-        items = [
-            CorpusItem(name=f"g{n}_{i:05d}", graph=g)
-            for n in range(1, spec.max_n + 1)
-            for i, g in enumerate(connected_graphs(n))
-        ]
-    elif spec.source == "random":
-        items = [
-            CorpusItem(name=f"r{spec.n}_{i:05d}", graph=g)
-            for i, g in enumerate(
-                random_graphs(spec.count, spec.n, spec.edge_probability, spec.seed)
-            )
-        ]
-    elif spec.source == "coronas":
-        items = corona_family(spec.max_x, spec.max_h, spec.max_total)
-    else:
-        items = [CorpusItem(name=name, graph=fixture(name)) for name in spec.fixtures]
-    return [it for it in items if _passes(it.graph, spec.filter)]
+    source = SOURCES[spec.source]
+    items = source.build(**{name: getattr(spec, name) for name in source.reads})
+    return [it for it in items if FILTERS[spec.filter](it.graph)]

@@ -18,7 +18,6 @@ from .matching import (
     Matching,
     _count_perfect_matchings_on,
     enumerate_maximum_matchings,
-    enumerate_perfect_matchings,
 )
 from .stability import StableSetFamily, omega_enumerate, psi_enumerate
 
@@ -75,10 +74,6 @@ class Facts:
     @_fact
     def maximum_matchings(self) -> list[Matching]:
         return enumerate_maximum_matchings(self.graph)
-
-    @_fact
-    def perfect_matchings(self) -> list[Matching]:
-        return enumerate_perfect_matchings(self.graph)
 
     def unique_pm_on(self, saturated: int) -> bool:
         """Definitional uniquely-restricted test on a matching's saturated

@@ -482,11 +482,10 @@ def pm_edge_cycle_exclusion(g: Graph, m: Matching) -> tuple[bool, list[int] | No
     _check_matching(g, m)
     if not m.is_perfect():
         raise UsageError("pm_edge_cycle_exclusion needs a perfect matching")
-    if __debug__:
-        from .classifiers import is_very_well_covered
+    from .classifiers import is_very_well_covered
 
-        if not is_very_well_covered(g):
-            raise UsageError("pm_edge_cycle_exclusion needs a very well-covered graph")
+    if not is_very_well_covered(g):
+        raise UsageError("pm_edge_cycle_exclusion needs a very well-covered graph")
     return _pm_edge_cycle_exclusion(g, m)
 
 

@@ -166,17 +166,15 @@ def _psi_member_bits(g: Graph, mask: int) -> bool:
 def psi_member_vwc(g: Graph, s: VertexSet) -> bool:
     """Fast membership for very well-covered graphs: |S| = |N(S)|.
 
-    Raises when s is not stable; very-well-coveredness of g is the
-    caller's responsibility and is only asserted in debug runs.
+    Raises when s is not stable or g is not very well-covered.
     """
     mask = require_member(g, s)
     if not is_stable_bits(g, mask):
         raise UsageError("psi_member_vwc needs a stable set")
-    if __debug__:
-        from .classifiers import is_very_well_covered
+    from .classifiers import is_very_well_covered
 
-        if not is_very_well_covered(g):
-            raise UsageError("psi_member_vwc needs a very well-covered graph")
+    if not is_very_well_covered(g):
+        raise UsageError("psi_member_vwc needs a very well-covered graph")
     return _psi_member_counting(g, mask)
 
 
@@ -223,11 +221,10 @@ def check_chain_growth(g: Graph, b: VertexSet, v: int | str) -> bool:
         raise UsageError("extended set is not stable")
     if not _psi_member_bits(g, bmask):
         raise UsageError("base set is not a local maximum stable set")
-    if __debug__:
-        from .classifiers import is_very_well_covered
+    from .classifiers import is_very_well_covered
 
-        if not is_very_well_covered(g):
-            raise UsageError("check_chain_growth needs a very well-covered graph")
+    if not is_very_well_covered(g):
+        raise UsageError("check_chain_growth needs a very well-covered graph")
     return _chain_grows(g, bmask, amask)
 
 

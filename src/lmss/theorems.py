@@ -7,10 +7,10 @@ through independent code paths (enumeration vs. search, counting vs.
 axioms) rather than trusting one implementation twice.
 
 A rule receives the item's ``Facts`` and reads from it the facts that
-other rules also read: psi and its axioms, omega, the maximum and perfect
-matchings, (very) well-coveredness, and the perfect-matching counts of
-saturated masks behind the definitional uniquely-restricted test (th9,
-th22, equiv7).  That count shares no code with the alternating-cycle
+other rules also read: psi and its axioms, omega, the maximum matchings,
+(very) well-coveredness, and the perfect-matching counts of saturated
+masks behind the definitional uniquely-restricted test (th9, th22,
+equiv7).  That count shares no code with the alternating-cycle
 search it is compared with.
 
 th9 reads the matching walk itself: for every matching it runs both
@@ -30,8 +30,10 @@ from .matching import (
     Matching,
     _cycle_free,
     _matching_walk,
+    _matchings,
     _pm_edge_cycle_exclusion,
     count_perfect_matchings,
+    enumerate_perfect_matchings,
     find_alternating_c4,
     has_unique_perfect_matching,
     check_property_p,
@@ -174,8 +176,12 @@ def _check_th11(item: Facts) -> list[Violation]:
     g = item.graph
     if has_isolated_vertices(g):
         return []
-    pms = item.perfect_matchings
-    rhs = bool(pms) and all(check_property_p(g, m)[0] for m in pms)
+    # a lazy walk of the perfect matchings: the first without P ends it
+    rhs = False
+    for m in _matchings(g, g.n // 2) if g.n % 2 == 0 else ():
+        rhs = check_property_p(g, m)[0]
+        if not rhs:
+            break
     lhs = item.very_well_covered
     if lhs != rhs:
         return [_violation("th11", item, f"very-well-covered {lhs}, perfect-matching property {rhs}")]
@@ -217,7 +223,7 @@ def _check_lem1(item: Facts) -> list[Violation]:
     if not item.very_well_covered:
         return []
     out = []
-    for m in item.perfect_matchings:
+    for m in enumerate_perfect_matchings(item.graph):
         ok, cyc = _pm_edge_cycle_exclusion(item.graph, m)
         if not ok:
             out.append(
@@ -393,15 +399,18 @@ def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
     """Run the named rules over the corpus, item-major: every rule checks
     one item's ``Facts`` before the next item starts, so a fact computed
     for one rule serves the others.  Reports keep the requested order and
-    violations keep corpus order.  Every rule name is validated before the
-    corpus is built; an empty corpus is a usage error, since it would pass
-    every rule."""
+    violations keep corpus order.  The name ``all`` stands for every rule
+    the corpus admits.  Every rule name is validated before the corpus is
+    built; an empty corpus is a usage error, since it would pass every
+    rule."""
+    if "all" in rule_names:
+        rule_names = [n for n in sorted(RULES) if spec.carries_parts or not RULES[n].needs_corona]
     rules = []
     for name in rule_names:
         rule = RULES.get(name)
         if rule is None:
             raise UsageError(f"unknown rule {name!r}")
-        if rule.needs_corona and spec.source != "coronas":
+        if rule.needs_corona and not spec.carries_parts:
             raise UsageError(f"rule {name!r} needs a corona corpus")
         rules.append(rule)
     items = iter_corpus(spec)

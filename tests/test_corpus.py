@@ -124,6 +124,31 @@ def test_corpus_spec_validation():
             CorpusSpec(source="random", count=5, n=6, edge_probability=p, seed=1)
     with pytest.raises(UsageError):
         CorpusSpec(source="random", count=-5, n=6, edge_probability=0.5, seed=1)
+    # a field the source does not read is an error, not silently ignored
+    for kwargs, field in (
+        (dict(source="exhaustive", max_n=4, seed=1), "seed"),
+        (dict(source="coronas", max_n=3), "max_n"),
+        (dict(source="random", count=5, n=6, edge_probability=0.5, seed=1, max_n=3), "max_n"),
+        (dict(source="fixtures", fixtures=("fig8_G1",), max_x=2), "max_x"),
+        # zero counts and bounds name their field, not an empty corpus
+        (dict(source="coronas", max_h=0), "max_h"),
+        (dict(source="coronas", max_total=0), "max_total"),
+        (dict(source="random", count=5, n=0, edge_probability=0.5, seed=1), "n"),
+    ):
+        with pytest.raises(UsageError, match=field):
+            CorpusSpec(**kwargs)
+
+
+def test_corpus_spec_defaults_and_dict():
+    # the builder's defaults fill the fields its source reads, and to_dict
+    # emits exactly those fields
+    assert CorpusSpec(source="coronas", max_h=2).to_dict() == {
+        "source": "coronas", "filter": "none", "max_x": 3, "max_h": 2, "max_total": 12,
+    }
+    assert CorpusSpec(max_n=3).to_dict() == {"source": "exhaustive", "filter": "none", "max_n": 3}
+    assert CorpusSpec(source="fixtures", fixtures=("fig8_G1",)).to_dict()["fixtures"] == ("fig8_G1",)
+    assert CorpusSpec(source="coronas").carries_parts
+    assert not CorpusSpec(source="exhaustive", max_n=3).carries_parts
 
 
 def test_iter_corpus_sources_and_filters():

@@ -154,6 +154,21 @@ def test_cli_verify_rejects_edge_probability_outside_unit_interval():
     assert code == 2 and out == "" and "edge_probability" in err
 
 
+@pytest.mark.parametrize("corpus, field", [
+    (("--source", "coronas", "--max-n", "3"), "max_n"),
+    (("--source", "random", "--count", "5", "--n", "6", "--p", "0.5", "--seed", "1",
+      "--max-n", "3"), "max_n"),
+    (("--source", "fixtures", "--fixture", "fig8_G1", "--max-n", "3"), "max_n"),
+    (("--source", "exhaustive", "--max-n", "3", "--seed", "1"), "seed"),
+    (("--source", "fixtures", "--fixture", "fig8_G1", "--max-x", "2"), "max_x"),
+    (("--source", "coronas", "--max-h", "0"), "max_h"),
+])
+def test_cli_verify_rejects_foreign_and_zero_corpus_flags(corpus, field):
+    code, out, err = run_cli("verify", "--theorem", "th7", *corpus)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
 def test_cli_verify_empty_corpus_exits_2():
     code, out, err = run_cli(
         "verify", "--theorem", "th8", "--source", "fixtures", "--fixture", "fig10_G",

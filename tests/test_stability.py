@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 import oracles
@@ -191,6 +194,28 @@ def test_check_chain_growth():
         check_chain_growth(f8, f8.set_of("p1"), "p2")  # extension not stable
     with pytest.raises(UsageError):
         check_chain_growth(complete(3), complete(3).set_of(0), 1)  # not very well-covered
+
+
+def test_vwc_preconditions_hold_under_python_O():
+    # the very-well-covered checks are not assertions: -O keeps them
+    script = """
+from lmss import UsageError, check_chain_growth, fixture, path
+from lmss import has_unique_perfect_matching, pm_edge_cycle_exclusion, psi_member_vwc
+g, p3 = fixture("fig10_G"), path(3)
+calls = [
+    lambda: psi_member_vwc(g, g.set_of("a")),
+    lambda: check_chain_growth(p3, p3.set_of(0), 2),
+    lambda: pm_edge_cycle_exclusion(g, has_unique_perfect_matching(g)[1]),
+]
+for call in calls:
+    try:
+        call()
+    except UsageError:
+        continue
+    raise SystemExit("returned instead of raising")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_chain_growth_agrees_with_oracle_on_vwc_fixtures():

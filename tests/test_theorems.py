@@ -4,7 +4,7 @@ from lmss import CorpusSpec, Matching, UsageError, corona, complete, cycle, fixt
 from lmss.corpus import iter_corpus
 from lmss.classifiers import is_well_covered
 from lmss.facts import Facts
-from lmss.matching import _alternating_cycles, _count_perfect_matchings_on
+from lmss.matching import _alternating_cycles, _count_perfect_matchings_on, count_perfect_matchings
 from lmss.theorems import RULES, _check_th10iv
 
 
@@ -127,6 +127,38 @@ def test_th4_checker_on_ke_graphs(connected_upto_6):
 
     for g in connected_upto_6[:60]:
         assert _check_th4(Facts(g, "g")) == []
+
+
+def test_verify_all_names_every_rule_the_corpus_admits():
+    plain = verify(CorpusSpec(source="fixtures", fixtures=("fig8_G1",)), ["all"])
+    assert [r.rule for r in plain.reports] == sorted(n for n in RULES if not RULES[n].needs_corona)
+    coronas = verify(CorpusSpec(source="coronas", max_x=1, max_h=1), ["all"])
+    assert [r.rule for r in coronas.reports] == sorted(RULES)
+    assert plain.passed and coronas.passed
+
+
+def test_th11_stops_at_the_first_perfect_matching_without_p(monkeypatch):
+    built = []
+    post_init = Matching.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Matching, "__post_init__", counting)
+    # K6 has 15 perfect matchings and the first already fails property P
+    k6 = Facts(complete(6), "K6")
+    assert not k6.very_well_covered and count_perfect_matchings(k6.graph) == 15
+    built.clear()
+    assert RULES["th11"].check(k6) == []
+    assert 0 < len(built) < 15
+    # on a very well-covered graph every perfect matching is checked
+    for name in ("fig8_G1", "fig8_G3"):
+        item = Facts(fixture(name), name)
+        assert item.very_well_covered
+        built.clear()
+        assert RULES["th11"].check(item) == []
+        assert len(built) == count_perfect_matchings(item.graph)
 
 
 def _th9_details_on_fig1_H():
