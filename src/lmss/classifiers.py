@@ -9,7 +9,6 @@ recursions on the vertex mask (``stability._alpha_on``,
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable
 
 from .graphs import (
@@ -56,20 +55,19 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def is_c4_free(g: Graph) -> bool:
-    """No chordless 4-cycle (the two diagonals of a square must be absent)."""
-    for quad in combinations(range(g.n), 4):
-        a, b, c, d = quad
-        # three ways to pair the quad into a cyclic order
-        for w, x, y, z in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
-            if (
-                g.adjacent(w, x)
-                and g.adjacent(x, y)
-                and g.adjacent(y, z)
-                and g.adjacent(z, w)
-                and not g.adjacent(w, y)
-                and not g.adjacent(x, z)
-            ):
-                return False
+    """No chordless 4-cycle (the two diagonals of a square must be absent).
+
+    A chordless square w-x-y-z exists iff some non-adjacent pair w, y has
+    two non-adjacent common neighbours x, z.
+    """
+    adj = g.adj
+    for w in range(g.n):
+        later = g.full_mask >> w + 1 << w + 1
+        for y in bits(later & ~adj[w]):
+            common = adj[w] & adj[y]
+            for x in bits(common):
+                if common & ~adj[x] & ~(1 << x):
+                    return False
     return True
 
 

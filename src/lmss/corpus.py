@@ -34,15 +34,25 @@ child is built.  No class is lost: every graph G has a vertex u minimising
 f, G - u is isomorphic to some parent P in the catalogue, and some mask on
 P rebuilds G with the new vertex in u's place, where it minimises f because
 f is invariant.  For trees the minimiser is a leaf, so leaf attachment
-suffices.  The set of canonical keys is therefore unchanged, and since each
-catalogue is ``graph_from_key`` over the sorted keys, so are its
-representatives and their order.
+suffices.
+
+Masks that differ by a permutation of a twin class of the parent are tried
+once: a mask must meet each class in its least vertices.  No class is lost
+either: permuting a twin class is an automorphism of the parent that fixes
+every other vertex, and extended to fix the new vertex it maps the child
+built from one mask onto the child built from the other.  The f-minimality
+test is isomorphism-invariant, and the popcount filter asks for all parent
+vertices of one degree, a union of whole twin classes, so it treats both
+masks alike.  The set of canonical keys is therefore unchanged.  Each
+catalogue is rebuilt straight from its sorted keys by ``graph_from_key``,
+which sets the adjacency bits a key lists, so its representatives and their
+order are unchanged too.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from inspect import Parameter, signature
@@ -93,6 +103,32 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
         cells = new
 
 
+def _twin_classes(adj: Sequence[int], mask: int) -> list[int]:
+    """The twin classes of the vertices in ``mask``, as masks by least vertex.
+
+    Twins have equal open or equal closed neighbourhoods.  No vertex has
+    both an open and a closed twin: if N(u) = N(v) and N[v] = N[w], then w
+    is adjacent to v, hence to u, so u lies in N[w] = N[v], yet open twins
+    are not adjacent.  So the classes partition ``mask``, and any
+    permutation of one class that fixes every other vertex is an
+    automorphism.
+    """
+    index: dict[int, int] = {}  # open neighbourhood a, or ~N[v] for closed ones
+    classes: list[int] = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        a = adj[low.bit_length() - 1]
+        closed = ~(a | low)
+        i = index.get(a, index.get(closed))
+        if i is None:
+            index[a] = index[closed] = len(classes)
+            classes.append(low)
+        else:
+            classes[i] |= low
+    return classes
+
+
 def canonical_key(g: Graph) -> int:
     """Isomorphism-invariant upper-triangle adjacency key.
 
@@ -128,18 +164,9 @@ def canonical_key(g: Graph) -> int:
         return (1 << (n * (n - 1) // 2)) - 1
     best = 1 << (n * (n - 1) // 2)
 
-    def untried(cell: int):
+    def untried(cell: int) -> list[int]:
         """The vertices of ``cell`` that are not a twin of an earlier one."""
-        opened: set[int] = set()
-        closed: set[int] = set()
-        for v in bits(cell):
-            a = adj[v]
-            ca = a | 1 << v
-            if a in opened or ca in closed:
-                continue
-            opened.add(a)
-            closed.add(ca)
-            yield v
+        return [(c & -c).bit_length() - 1 for c in _twin_classes(adj, cell)]
 
     def search_rows(cells: list[int], key: int, width: int):
         # ``cells`` holds the unplaced vertices and ``width`` is the length of
@@ -207,12 +234,26 @@ def canonical_key(g: Graph) -> int:
 
 
 def graph_from_key(n: int, key: int) -> Graph:
-    pairs = list(combinations(range(n), 2))
-    total = len(pairs)
-    edges = [
-        pairs[idx] for idx in range(total) if key >> (total - 1 - idx) & 1
-    ]
-    return Graph.from_edges(n, edges)
+    """The graph whose row-major upper-triangle adjacency key is ``key``.
+
+    Row i holds the pairs (i, i+1), ..., (i, n-1), most significant first.
+    """
+    width = n * (n - 1) // 2
+    if key < 0 or key >> width:
+        raise ValueError(f"key {key} does not fit the {width} vertex pairs of n = {n}")
+    adj = [0] * n
+    for i in range(n - 1):
+        width -= n - 1 - i
+        row = key >> width
+        key ^= row << width
+        # bit b of the row is the pair (i, n-1-b)
+        while row:
+            low = row & -row
+            row ^= low
+            j = n - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -236,7 +277,8 @@ def _augment(parents: tuple[Graph, ...], n: int, masks: range | list[int]) -> tu
     """Isomorph-free n-vertex graphs grown from the (n-1)-vertex ``parents``.
 
     Each parent gains a vertex n-1 adjacent to ``mask`` for every mask in
-    ``masks``; a child is canonicalised only when its new vertex minimises f.
+    ``masks`` that meets each twin class of the parent in its least members;
+    a child is canonicalised only when its new vertex minimises f.
     """
     new = 1 << (n - 1)
     seen: set[int] = set()
@@ -246,9 +288,12 @@ def _augment(parents: tuple[Graph, ...], n: int, masks: range | list[int]) -> tu
         # the new vertex's degree k is minimal only if every parent vertex of
         # degree k - 1 joins it and none has a smaller degree
         need = [sum(1 << v for v, d in enumerate(pdeg) if d == k - 1) for k in range(n)]
+        twins = [c for c in _twin_classes(p.adj, new - 1) if c & (c - 1)]
         for mask in masks:
             k = mask.bit_count()
             if k > low + 1 or mask & need[k] != need[k]:
+                continue
+            if any(c & ((1 << (mask & c).bit_length()) - 1) != mask & c for c in twins):
                 continue
             adj = [a | new if mask >> v & 1 else a for v, a in enumerate(p.adj)]
             adj.append(mask)

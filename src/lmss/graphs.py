@@ -83,15 +83,20 @@ class Graph:
         object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.n:
             raise ValueError(f"expected {self.n} adjacency masks, got {len(self.adj)}")
-        full = self.full_mask
-        for v, mask in enumerate(self.adj):
-            if mask & ~full:
+        adj = self.adj
+        outside = ~self.full_mask
+        for v, mask in enumerate(adj):
+            if mask & outside:
                 raise ValueError(f"adjacency mask of vertex {v} leaves the vertex universe")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in bits(mask):
-                if not self.adj[u] >> v & 1:
+            # the walk of ``bits``, inline: every graph built passes here
+            while mask:
+                low = mask & -mask
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                mask ^= low
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.n:

@@ -6,7 +6,7 @@ the fast implementations are judged against, so they share no code with
 the package.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def adj_sets(n, edges):
@@ -174,6 +174,16 @@ def cycle_has_chord(n, edges, cyc):
         for i in range(k)
         for j in range(i + 2, k)
         if not (i == 0 and j == k - 1)
+    )
+
+
+def has_chordless_square(n, edges):
+    """Some cycle w-x-y-z-w has neither diagonal wy nor xz."""
+    adj = adj_sets(n, edges)
+    return any(
+        x in adj[w] and y in adj[x] and z in adj[y] and w in adj[z]
+        and y not in adj[w] and z not in adj[x]
+        for w, x, y, z in permutations(range(n), 4)
     )
 
 

@@ -14,6 +14,7 @@ from lmss import (
     path,
     psi_neighborhoods_are_ke,
 )
+from lmss.corpus import connected_graphs
 from lmss.fixtures import fixture
 
 
@@ -84,6 +85,12 @@ def test_freeness_against_oracle(connected_upto_6):
             if len(c) == 4 and not oracles.cycle_has_chord(g.n, oracles.edges_of(g), c)
         ]
         assert is_c4_free(g) == (not chordless_squares)
+
+
+def test_c4_freeness_against_brute_force():
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            assert is_c4_free(g) == (not oracles.has_chordless_square(g.n, oracles.edges_of(g)))
 
 
 def test_psi_neighborhoods_are_ke():

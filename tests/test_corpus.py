@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -21,11 +22,13 @@ from lmss import (
     nonisomorphic_trees,
     random_graphs,
 )
+from lmss.corpus import graph_from_key
 
 # published counts of graphs up to isomorphism, used as generation oracles
 ALL_GRAPHS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
+LARGE_TREES = {13: 1301, 14: 3159, 15: 7741, 16: 19320}  # OEIS A000055
 
 
 def shuffled_copy(g: Graph, seed: int) -> Graph:
@@ -43,6 +46,53 @@ def test_known_counts():
         assert len(connected_graphs(n)) == want, n
     for n, want in TREES.items():
         assert len(nonisomorphic_trees(n)) == want, n
+
+
+@pytest.mark.slow
+def test_large_tree_counts():
+    for n, want in LARGE_TREES.items():
+        assert len(nonisomorphic_trees(n)) == want, n
+
+
+def _extend(p: Graph, mask: int) -> Graph:
+    """``p`` plus a new last vertex adjacent to ``mask``."""
+    new = 1 << p.n
+    adj = [a | new if mask >> v & 1 else a for v, a in enumerate(p.adj)]
+    return Graph(p.n + 1, (*adj, mask))
+
+
+def test_every_extension_is_catalogued():
+    # every mask on every parent, so no pruning of the generator is trusted:
+    # the keys reached are exactly the catalogue's, one graph per key
+    for n in range(1, 7):
+        parents = nonisomorphic_graphs(n - 1)
+        reached = {canonical_key(_extend(p, mask)) for p in parents for mask in range(1 << (n - 1))}
+        keys = [canonical_key(g) for g in nonisomorphic_graphs(n)]
+        assert len(set(keys)) == len(keys) and reached == set(keys), n
+    for n in range(2, 11):
+        parents = nonisomorphic_trees(n - 1)
+        reached = {canonical_key(_extend(p, 1 << v)) for p in parents for v in range(n - 1)}
+        keys = [canonical_key(g) for g in nonisomorphic_trees(n)]
+        assert len(set(keys)) == len(keys) and reached == set(keys), n
+
+
+def test_graph_from_key_reads_rows_of_pairs():
+    # the key lists the pairs (0,1), (0,2), ..., (n-2,n-1), most significant first
+    rng = random.Random(3)
+    for n in range(0, 9):
+        pairs = list(combinations(range(n), 2))
+        for key in {0, (1 << len(pairs)) - 1, *(rng.getrandbits(len(pairs)) for _ in range(20))}:
+            g = graph_from_key(n, key)
+            assert g.n == n
+            assert sum(g.adjacent(u, v) << len(pairs) - 1 - i for i, (u, v) in enumerate(pairs)) == key
+    assert graph_from_key(3, 0b111) == complete(3)
+    assert graph_from_key(3, 0b101).edges() == ((0, 1), (1, 2))
+
+
+def test_graph_from_key_rejects_keys_beyond_its_pairs():
+    for n, key in ((3, 0b1111111), (3, 1 << 3), (1, 1), (0, 1), (8, 1 << 28), (3, -1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            graph_from_key(n, key)
 
 
 def test_canonical_key_is_relabeling_invariant():

@@ -41,6 +41,17 @@ def test_graph_invariants_enforced():
         Graph(1, (1,))  # self-loop
     with pytest.raises(ValueError):
         Graph(1, (2,))  # mask outside universe
+    # the same checks on the highest vertex of a full-size graph
+    high = [0] * 16
+    high[15] = 1 << 14
+    with pytest.raises(ValueError, match="^asymmetric adjacency between 14 and 15$"):
+        Graph(16, tuple(high))
+    high[15] = 1 << 15
+    with pytest.raises(ValueError, match="^self-loop at vertex 15$"):
+        Graph(16, tuple(high))
+    high[15] = 1 << 16
+    with pytest.raises(ValueError, match="^adjacency mask of vertex 15 leaves the vertex universe$"):
+        Graph(16, tuple(high))
     with pytest.raises(CapacityError):
         Graph(17, (0,) * 17)
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from lmss import (
     find_alternating_cycle,
     girth,
     has_pendant_perfect_matching,
+    is_c4_free,
     is_uniquely_restricted,
     is_very_well_covered,
     is_well_covered,
@@ -110,6 +111,11 @@ def test_canonical_key_invariant_under_relabeling(g, seed):
     rng.shuffle(perm)
     relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     assert canonical_key(relabeled) == canonical_key(g)
+
+
+@given(graphs(max_n=12))
+def test_c4_free_matches_brute_force(g):
+    assert is_c4_free(g) == (not oracles.has_chordless_square(g.n, oracles.edges_of(g)))
 
 
 @st.composite
