@@ -23,13 +23,21 @@ from .stability import _alpha_on, _stable_sets, alpha, psi_enumerate
 
 def maximal_stable_sets(g: Graph) -> list[int]:
     """All inclusion-wise maximal stable sets, as masks in ascending order."""
-    return [s for s, c in _stable_sets(g) if c == g.full_mask]
+    return _maximal_stable_sets(g, _stable_sets(g))
+
+
+def _maximal_stable_sets(g: Graph, walk: list[tuple[int, int]]) -> list[int]:
+    return [s for s, c in walk if c == g.full_mask]
 
 
 def is_well_covered(g: Graph) -> bool:
     """Every maximal stable set has maximum cardinality."""
-    a = alpha(g)
-    return all(m.bit_count() == a for m in maximal_stable_sets(g))
+    return _well_covered(g, alpha(g), _stable_sets(g))
+
+
+def _well_covered(g: Graph, a: int, walk: list[tuple[int, int]]) -> bool:
+    """``is_well_covered`` read off alpha and the stable-set walk of g."""
+    return all(m.bit_count() == a for m in _maximal_stable_sets(g, walk))
 
 
 def has_isolated_vertices(g: Graph) -> bool:
@@ -38,12 +46,14 @@ def has_isolated_vertices(g: Graph) -> bool:
 
 def is_very_well_covered(g: Graph) -> bool:
     """Well-covered, no isolated vertices, and |V| = 2 alpha."""
-    return _very_well_covered(g, lambda: is_well_covered(g))
+    a = alpha(g)
+    return _very_well_covered(g, a, lambda: _well_covered(g, a, _stable_sets(g)))
 
 
-def _very_well_covered(g: Graph, well_covered: Callable[[], bool]) -> bool:
-    """The definition; the costly ``well_covered()`` is asked only if the rest holds."""
-    return not has_isolated_vertices(g) and g.n == 2 * alpha(g) and well_covered()
+def _very_well_covered(g: Graph, a: int, well_covered: Callable[[], bool]) -> bool:
+    """The definition, given alpha; the costly ``well_covered()`` is asked
+    only if the rest holds."""
+    return not has_isolated_vertices(g) and g.n == 2 * a and well_covered()
 
 
 def is_koenig_egervary(g: Graph) -> bool:

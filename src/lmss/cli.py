@@ -18,7 +18,6 @@ from .graphs import (
     ParseError,
     UsageError,
     parse_edge_list,
-    serialize,
     serialize_many,
 )
 from .fixtures import fixture, fixture_names
@@ -119,20 +118,28 @@ def _cmd_generate(args) -> int:
     items = iter_corpus(_corpus_spec(args))
     out = Path(args.output)
     folder = out if args.split else out.parent
+    written = 0
     try:
         folder.mkdir(parents=True, exist_ok=True)
         if args.split:
             for it in items:
-                (out / f"{it.name}.txt").write_text(f"# {it.name}\n" + serialize(it.graph))
+                (out / f"{it.name}.txt").write_text(serialize_many([(it.name, it.graph)]))
+                written += 1
         else:
-            out.write_text(serialize_many((it.name, it.graph) for it in items))
+            # serialize_many's blocks and separators, written as the corpus streams
+            with out.open("w") as fh:
+                for it in items:
+                    if written:
+                        fh.write("\n")
+                    fh.write(serialize_many([(it.name, it.graph)]))
+                    written += 1
     except (FileExistsError, NotADirectoryError):
         # a non-directory stands on the folder's path: the nearest existing one
         blocker = next(p for p in (folder, *folder.parents) if p.exists())
         raise UsageError(f"cannot write {out}: {blocker} is not a directory") from None
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
-    sys.stdout.write(f"{len(items)} graphs written\n")
+    sys.stdout.write(f"{written} graphs written\n")
     return 0
 
 

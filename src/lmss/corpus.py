@@ -6,8 +6,20 @@ else reads that table and ``FILTERS``, so a new source is one entry there.
 
 Exhaustive generation augments the (n-1)-vertex catalogue by one vertex
 and rejects isomorphs by a canonical key.  Graphs try every neighbourhood
-of the new vertex, trees every single neighbour.  Feasible through n = 8;
-larger sizes are sampled randomly.
+of the new vertex, trees every single neighbour.  Feasible through n = 9
+(``EXHAUSTIVE_LIMIT``); larger sizes are sampled randomly.
+
+Catalogues are kept as keys and corpora stream, so memory is bounded by
+the catalogue's keys, not by the corpus.  ``graph_keys`` and ``tree_keys``
+cache each level as its ascending canonical keys, one int per class
+(274,668 at n = 9), never as ``Graph`` objects; ``graph_from_key``
+rebuilds a class in microseconds.  The generator reads its parents, and
+the exhaustive source its items, one rebuilt graph at a time.  Every
+source does its shared work when it is called (the catalogue levels, the
+corona bases and parts), so the cap is met before any item; it then
+yields its items one at a time, and ``iter_corpus`` filters them as they
+pass.  So a sweep holds the levels' keys, its own tallies and the item it
+is on; every other item is freed once the sweep moves past it.
 
 The key is the least row-major upper-triangle adjacency key over the
 vertex orders that respect the ordered cells of a leaf of one search tree.
@@ -52,19 +64,19 @@ order are unchanged too.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from inspect import Parameter, signature
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import factorial
 from typing import NamedTuple
 
 from . import classifiers
-from .graphs import Graph, UsageError, bits, corona, is_connected
+from .graphs import MAX_VERTICES, Graph, UsageError, bits, corona, is_connected
 from .fixtures import fixture
 
-EXHAUSTIVE_LIMIT = 8
+EXHAUSTIVE_LIMIT = 9
 
 # The individualisation tree ends at a cell partition that admits at most
 # this many orders (the product of its cells' factorials).  The key is the
@@ -273,8 +285,9 @@ def _new_vertex_minimises(adj: list[int]) -> bool:
     return sums[-1] == min(sums)
 
 
-def _augment(parents: tuple[Graph, ...], n: int, masks: range | list[int]) -> tuple[Graph, ...]:
-    """Isomorph-free n-vertex graphs grown from the (n-1)-vertex ``parents``.
+def _augment(parents: tuple[int, ...], n: int, masks: range | list[int]) -> tuple[int, ...]:
+    """Ascending keys of the isomorph-free n-vertex graphs grown from the
+    (n-1)-vertex graphs whose keys are ``parents``.
 
     Each parent gains a vertex n-1 adjacent to ``mask`` for every mask in
     ``masks`` that meets each twin class of the parent in its least members;
@@ -282,7 +295,8 @@ def _augment(parents: tuple[Graph, ...], n: int, masks: range | list[int]) -> tu
     """
     new = 1 << (n - 1)
     seen: set[int] = set()
-    for p in parents:
+    for key in parents:
+        p = graph_from_key(n - 1, key)
         pdeg = [a.bit_count() for a in p.adj]
         low = min(pdeg, default=n)
         # the new vertex's degree k is minimal only if every parent vertex of
@@ -299,41 +313,54 @@ def _augment(parents: tuple[Graph, ...], n: int, masks: range | list[int]) -> tu
             adj.append(mask)
             if _new_vertex_minimises(adj):
                 seen.add(canonical_key(Graph(n, tuple(adj))))
-    return tuple(graph_from_key(n, k) for k in sorted(seen))
+    return tuple(sorted(seen))
 
 
 @lru_cache(maxsize=None)
-def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs on n vertices up to isomorphism, canonical and key-sorted."""
+def graph_keys(n: int) -> tuple[int, ...]:
+    """The canonical keys of all graphs on n vertices up to isomorphism, ascending."""
     if n > EXHAUSTIVE_LIMIT:
         raise UsageError(f"exhaustive generation is capped at n = {EXHAUSTIVE_LIMIT}")
     if n == 0:
-        return (Graph(0, ()),)
-    return _augment(nonisomorphic_graphs(n - 1), n, range(1 << (n - 1)))
+        return (0,)
+    return _augment(graph_keys(n - 1), n, range(1 << (n - 1)))
+
+
+@lru_cache(maxsize=None)
+def tree_keys(n: int) -> tuple[int, ...]:
+    """The canonical keys of all trees on n vertices up to isomorphism, ascending,
+    grown by leaf attachment."""
+    if n == 0:
+        return ()
+    if n == 1:
+        return (0,)
+    return _augment(tree_keys(n - 1), n, [1 << v for v in range(n - 1)])
+
+
+def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
+    """All graphs on n vertices up to isomorphism, canonical and key-sorted."""
+    return tuple(graph_from_key(n, k) for k in graph_keys(n))
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in nonisomorphic_graphs(n) if is_connected(g))
 
 
-@lru_cache(maxsize=None)
 def nonisomorphic_trees(n: int) -> tuple[Graph, ...]:
-    """All trees on n vertices up to isomorphism, grown by leaf attachment."""
-    if n == 0:
-        return ()
-    if n == 1:
-        return (Graph(1, (0,)),)
-    return _augment(nonisomorphic_trees(n - 1), n, [1 << v for v in range(n - 1)])
+    """All trees on n vertices up to isomorphism, canonical and key-sorted."""
+    return tuple(graph_from_key(n, k) for k in tree_keys(n))
+
+
+def _draws(count: int, n: int, edge_probability: float, seed: int) -> Iterator[Graph]:
+    rng = random.Random(seed)
+    pairs = list(combinations(range(n), 2))
+    for _ in range(count):
+        yield Graph.from_edges(n, [e for e in pairs if rng.random() < edge_probability])
 
 
 def random_graphs(count: int, n: int, edge_probability: float, seed: int) -> list[Graph]:
     """``count`` graphs G(n, p) from one seeded generator, pairs in lexicographic order."""
-    rng = random.Random(seed)
-    pairs = list(combinations(range(n), 2))
-    return [
-        Graph.from_edges(n, [e for e in pairs if rng.random() < edge_probability])
-        for _ in range(count)
-    ]
+    return list(_draws(count, n, edge_probability, seed))
 
 
 @dataclass(frozen=True)
@@ -346,39 +373,37 @@ class CorpusItem:
     parts: tuple[Graph, ...] = ()
 
 
-def corona_family(max_x: int = 3, max_h: int = 3, max_total: int = 12) -> list[CorpusItem]:
-    """Every corona with base size <= max_x, part sizes <= max_h, total <= max_total."""
+def corona_family(max_x: int = 3, max_h: int = 3, max_total: int = 12) -> Iterator[CorpusItem]:
+    """Every corona with base size <= max_x, part sizes <= max_h, total <= max_total,
+    one at a time."""
     bases = [g for n in range(1, max_x + 1) for g in nonisomorphic_graphs(n)]
     parts = [g for n in range(1, max_h + 1) for g in nonisomorphic_graphs(n)]
-    items: list[CorpusItem] = []
-    for x in bases:
-        for hs in product(parts, repeat=x.n):
-            if x.n + sum(h.n for h in hs) > max_total:
-                continue
-            items.append(
-                CorpusItem(
-                    name=f"corona_{len(items):04d}",
-                    graph=corona(x, hs),
-                    base=x,
-                    parts=tuple(hs),
-                )
-            )
-    return items
+    shapes = (
+        (x, hs)
+        for x in bases
+        for hs in product(parts, repeat=x.n)
+        if x.n + sum(h.n for h in hs) <= max_total
+    )
+    return (
+        CorpusItem(name=f"corona_{i:04d}", graph=corona(x, hs), base=x, parts=hs)
+        for i, (x, hs) in enumerate(shapes)
+    )
 
 
-def _exhaustive(max_n: int) -> list[CorpusItem]:
-    return [
+def _exhaustive(max_n: int) -> Iterator[CorpusItem]:
+    graph_keys(max_n)  # past the cap this raises at once; else it generates every level
+    return (
         CorpusItem(name=f"g{n}_{i:05d}", graph=g)
         for n in range(1, max_n + 1)
-        for i, g in enumerate(connected_graphs(n))
-    ]
+        for i, g in enumerate(filter(is_connected, map(graph_from_key, repeat(n), graph_keys(n))))
+    )
 
 
-def _random(count: int, n: int, edge_probability: float, seed: int) -> list[CorpusItem]:
-    return [
+def _random(count: int, n: int, edge_probability: float, seed: int) -> Iterator[CorpusItem]:
+    return (
         CorpusItem(name=f"r{n}_{i:05d}", graph=g)
-        for i, g in enumerate(random_graphs(count, n, edge_probability, seed))
-    ]
+        for i, g in enumerate(_draws(count, n, edge_probability, seed))
+    )
 
 
 def _fixtures(fixtures: tuple[str, ...]) -> list[CorpusItem]:
@@ -388,7 +413,7 @@ def _fixtures(fixtures: tuple[str, ...]) -> list[CorpusItem]:
 class Source(NamedTuple):
     """A corpus source's builder, and whether its items carry corona parts."""
 
-    build: Callable[..., list[CorpusItem]]
+    build: Callable[..., Iterable[CorpusItem]]
     carries_parts: bool = False
 
     @property
@@ -447,6 +472,9 @@ class CorpusSpec:
                 raise UsageError(f"{self.source} corpora do not read {f.name}")
             if f.name in _COUNTS and value is not None and value < 1:
                 raise UsageError(f"{f.name} must be at least 1, got {value}")
+        # checked here, not at the first draw, so that no output is begun
+        if self.n is not None and self.n > MAX_VERTICES:
+            raise UsageError(f"n must be at most {MAX_VERTICES}, got {self.n}")
         if self.edge_probability is not None and not 0 <= self.edge_probability <= 1:
             raise UsageError(f"edge_probability must lie in [0, 1], got {self.edge_probability}")
         if self.fixtures is not None and not self.fixtures:
@@ -462,8 +490,13 @@ class CorpusSpec:
         return {"source": self.source, "filter": self.filter, **reads}
 
 
-def iter_corpus(spec: CorpusSpec) -> list[CorpusItem]:
-    """Materialise the corpus a spec describes, deterministically."""
+def iter_corpus(spec: CorpusSpec) -> Iterator[CorpusItem]:
+    """The corpus a spec describes, deterministically, one item at a time.
+
+    The source's shared work is done, and the exhaustive cap met, before
+    this returns; each item is built and filtered only when it is asked for.
+    """
     source = SOURCES[spec.source]
     items = source.build(**{name: getattr(spec, name) for name in source.reads})
-    return [it for it in items if FILTERS[spec.filter](it.graph)]
+    keep = FILTERS[spec.filter]
+    return (it for it in items if keep(it.graph))

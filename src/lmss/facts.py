@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .classifiers import _very_well_covered, is_well_covered
+from .classifiers import _very_well_covered, _well_covered
 from .graphs import Graph
 from .greedoid import check_accessibility, check_exchange
 from .matching import (
@@ -19,7 +19,7 @@ from .matching import (
     _count_perfect_matchings_on,
     enumerate_maximum_matchings,
 )
-from .stability import StableSetFamily, omega_enumerate, psi_enumerate
+from .stability import StableSetFamily, _omega, _psi, _stable_sets, alpha
 
 
 class _fact(cached_property):
@@ -43,20 +43,29 @@ class Facts:
     _pm_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     @_fact
+    def alpha(self) -> int:
+        return alpha(self.graph)
+
+    @_fact
+    def stable_sets(self) -> list[tuple[int, int]]:
+        """The stable-set walk: every ``(S, N[S])`` in ascending order of S."""
+        return _stable_sets(self.graph)
+
+    @_fact
     def well_covered(self) -> bool:
-        return is_well_covered(self.graph)
+        return _well_covered(self.graph, self.alpha, self.stable_sets)
 
     @_fact
     def very_well_covered(self) -> bool:
-        return _very_well_covered(self.graph, lambda: self.well_covered)
+        return _very_well_covered(self.graph, self.alpha, lambda: self.well_covered)
 
     @_fact
     def psi(self) -> StableSetFamily:
-        return psi_enumerate(self.graph)
+        return _psi(self.graph, self.stable_sets)
 
     @_fact
     def omega(self) -> StableSetFamily:
-        return omega_enumerate(self.graph)
+        return _omega(self.graph, self.alpha, self.stable_sets)
 
     @_fact
     def accessibility(self) -> tuple[bool, int | None]:

@@ -148,8 +148,12 @@ class StableSetFamily(SetSystem):
 
 def omega_enumerate(g: Graph) -> StableSetFamily:
     """All maximum stable sets of g."""
-    a = alpha(g)
-    return StableSetFamily(g.n, tuple(s for s, _ in _stable_sets(g) if s.bit_count() == a), g)
+    return _omega(g, alpha(g), _stable_sets(g))
+
+
+def _omega(g: Graph, a: int, walk: list[tuple[int, int]]) -> StableSetFamily:
+    """``omega_enumerate`` read off alpha and the stable-set walk of g."""
+    return StableSetFamily(g.n, tuple(s for s, _ in walk if s.bit_count() == a), g)
 
 
 def psi_member_oracle(g: Graph, s: VertexSet) -> bool:
@@ -185,9 +189,14 @@ def _psi_member_counting(g: Graph, mask: int) -> bool:
 
 def psi_enumerate(g: Graph) -> StableSetFamily:
     """The family of all local maximum stable sets, empty set included."""
+    return _psi(g, _stable_sets(g))
+
+
+def _psi(g: Graph, walk: list[tuple[int, int]]) -> StableSetFamily:
+    """``psi_enumerate`` read off the stable-set walk of g."""
     memo: dict[int, int] = {}
     return StableSetFamily(
-        g.n, tuple(s for s, c in _stable_sets(g) if s.bit_count() == _alpha_on(g, c, memo)), g
+        g.n, tuple(s for s, c in walk if s.bit_count() == _alpha_on(g, c, memo)), g
     )
 
 

@@ -7,10 +7,10 @@ through independent code paths (enumeration vs. search, counting vs.
 axioms) rather than trusting one implementation twice.
 
 A rule receives the item's ``Facts`` and reads from it the facts that
-other rules also read: psi and its axioms, omega, the maximum matchings,
-(very) well-coveredness, and the perfect-matching counts of saturated
-masks behind the definitional uniquely-restricted test (th9, th22,
-equiv7).  That count shares no code with the alternating-cycle
+other rules also read: alpha and the stable-set walk, psi and its axioms,
+omega, the maximum matchings, (very) well-coveredness, and the
+perfect-matching counts of saturated masks behind the definitional
+uniquely-restricted test (th9, th22, equiv7).  That count shares no code with the alternating-cycle
 search it is compared with.
 
 th9 reads the matching walk itself: for every matching it runs both
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .graphs import Graph, UsageError, VertexSet, bits, serialize
-from .stability import _chain_grows, _psi_member_bits, _psi_member_counting, _stable_sets, alpha
+from .stability import _chain_grows, _psi_member_bits, _psi_member_counting, alpha
 from .matching import (
     Matching,
     _cycle_free,
@@ -107,7 +107,7 @@ def _check_th4(item: Facts) -> list[Violation]:
                 out.append(
                     _violation("th4", item, f"maximum matching {m!r} not inside the cut of {s:#x}")
                 )
-    a0, m0 = alpha(g), mu(g)
+    a0, m0 = item.alpha, mu(g)
     bip = is_bipartite(g)
     for u, v in g.edges():
         reduced = Graph(
@@ -252,7 +252,7 @@ def _check_lem3(item: Facts) -> list[Violation]:
     if not item.very_well_covered:
         return []
     out = []
-    for mask, _ in _stable_sets(g):
+    for mask, _ in item.stable_sets:
         if _psi_member_counting(g, mask) != _psi_member_bits(g, mask):
             s = VertexSet(g, mask)
             out.append(_violation("lem3", item, f"counting and oracle membership split on {s!r}"))
@@ -396,9 +396,10 @@ class VerificationSummary:
 
 
 def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
-    """Run the named rules over the corpus, item-major: every rule checks
-    one item's ``Facts`` before the next item starts, so a fact computed
-    for one rule serves the others.  Reports keep the requested order and
+    """Run the named rules over the corpus as it streams, item-major: every
+    rule checks one item's ``Facts`` before the next item starts, so a fact
+    computed for one rule serves the others, and both are dropped before
+    the next item is built.  Reports keep the requested order and
     violations keep corpus order.  The name ``all`` stands for every rule
     the corpus admits.  Every rule name is validated before the corpus is
     built; an empty corpus is a usage error, since it would pass every
@@ -413,15 +414,16 @@ def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
         if rule.needs_corona and not spec.carries_parts:
             raise UsageError(f"rule {name!r} needs a corona corpus")
         rules.append(rule)
-    items = iter_corpus(spec)
-    if not items:
-        raise UsageError("the corpus is empty: no graph to check")
     found: list[list[Violation]] = [[] for _ in rules]
-    for it in items:
+    checked = 0
+    for it in iter_corpus(spec):
         facts = Facts(it.graph, it.name, it.base, it.parts)
         for rule, out in zip(rules, found):
             out.extend(rule.check(facts))
+        checked += 1
+    if not checked:
+        raise UsageError("the corpus is empty: no graph to check")
     reports = tuple(
-        RuleReport(name, len(items), tuple(out)) for name, out in zip(rule_names, found)
+        RuleReport(name, checked, tuple(out)) for name, out in zip(rule_names, found)
     )
     return VerificationSummary(spec, reports)

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import random
 import time
+import weakref
 from itertools import combinations
 
 import pytest
@@ -22,7 +24,7 @@ from lmss import (
     nonisomorphic_trees,
     random_graphs,
 )
-from lmss.corpus import graph_from_key
+from lmss.corpus import graph_from_key, graph_keys
 
 # published counts of graphs up to isomorphism, used as generation oracles
 ALL_GRAPHS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -141,7 +143,7 @@ def test_random_graphs_deterministic():
 
 
 def test_corona_family_shape():
-    items = corona_family(3, 3, 12)
+    items = list(corona_family(3, 3, 12))
     # 7 bases (sizes 1..3 up to isomorphism), 7 possible parts per slot
     assert len(items) == 1 * 7 + 2 * 7**2 + 4 * 7**3
     for it in items[:50]:
@@ -150,8 +152,8 @@ def test_corona_family_shape():
 
 
 def test_corona_family_max_total_prunes():
-    full = corona_family(2, 2)
-    pruned = corona_family(2, 2, 4)
+    full = list(corona_family(2, 2))
+    pruned = list(corona_family(2, 2, 4))
     assert [it.graph for it in pruned] == [it.graph for it in full if it.graph.n <= 4]
     assert 0 < len(pruned) < len(full)
 
@@ -202,31 +204,31 @@ def test_corpus_spec_defaults_and_dict():
 
 
 def test_iter_corpus_sources_and_filters():
-    items = iter_corpus(CorpusSpec(source="exhaustive", max_n=5))
+    items = list(iter_corpus(CorpusSpec(source="exhaustive", max_n=5)))
     assert len(items) == sum(CONNECTED[n] for n in range(1, 6))
     assert all(is_connected(it.graph) for it in items)
 
-    vwc = iter_corpus(CorpusSpec(source="exhaustive", max_n=5, filter="vwc"))
+    vwc = list(iter_corpus(CorpusSpec(source="exhaustive", max_n=5, filter="vwc")))
     assert {it.graph.n for it in vwc} <= {2, 4}
     from lmss import is_very_well_covered
     assert all(is_very_well_covered(it.graph) for it in vwc)
 
-    fix = iter_corpus(CorpusSpec(source="fixtures", fixtures=("fig8_G1", "fig8_G2")))
+    fix = list(iter_corpus(CorpusSpec(source="fixtures", fixtures=("fig8_G1", "fig8_G2"))))
     assert [it.name for it in fix] == ["fig8_G1", "fig8_G2"]
 
-    rand = iter_corpus(
+    rand = list(iter_corpus(
         CorpusSpec(source="random", count=6, n=7, edge_probability=0.4, seed=1)
-    )
+    ))
     assert len(rand) == 6
 
     draws = dict(source="random", count=30, n=7, edge_probability=0.25, seed=1)
-    every = iter_corpus(CorpusSpec(**draws))
-    connected = iter_corpus(CorpusSpec(**draws, filter="connected"))
+    every = list(iter_corpus(CorpusSpec(**draws)))
+    connected = list(iter_corpus(CorpusSpec(**draws, filter="connected")))
     assert connected == [it for it in every if is_connected(it.graph)]
     assert 0 < len(connected) < len(every)
 
     # connected forests are trees
-    forests = iter_corpus(CorpusSpec(source="exhaustive", max_n=5, filter="forest"))
+    forests = list(iter_corpus(CorpusSpec(source="exhaustive", max_n=5, filter="forest")))
     assert all(it.graph.edge_count == it.graph.n - 1 for it in forests)
     assert len(forests) == sum(TREES[n] for n in range(1, 6))
 
@@ -248,4 +250,31 @@ def test_catalogue_bytes_pinned():
 
 def test_exhaustive_cap():
     with pytest.raises(UsageError):
-        nonisomorphic_graphs(9)
+        nonisomorphic_graphs(10)
+    # the source meets the cap when it is called, before it generates any level
+    with pytest.raises(UsageError, match="capped at n = 9"):
+        iter_corpus(CorpusSpec(source="exhaustive", max_n=10))
+
+
+@pytest.mark.slow
+def test_exhaustive_counts_at_nine():
+    # OEIS A000088 and A001349
+    assert len(graph_keys(9)) == 274_668
+    items = iter_corpus(CorpusSpec(source="exhaustive", max_n=9))
+    assert sum(it.graph.n == 9 for it in items) == 261_080
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(source="exhaustive", max_n=4),
+    CorpusSpec(source="coronas", max_x=2, max_h=2),
+    CorpusSpec(source="random", count=5, n=6, edge_probability=0.5, seed=1),
+], ids=lambda spec: spec.source)
+def test_iter_corpus_keeps_no_item(spec):
+    # once the corpus moves past an item, nothing of the corpus holds its graph
+    items = iter_corpus(spec)
+    first = next(items)
+    ref = weakref.ref(first.graph)
+    del first
+    next(items)
+    gc.collect()
+    assert ref() is None

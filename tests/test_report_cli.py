@@ -71,12 +71,12 @@ def test_analyze_runs_one_unique_matching_search(patch_lmss):
 def test_analyze_computes_well_covered_once(patch_lmss):
     # fig8_G1 is very well-covered, so the report asks well-coveredness both
     # for itself and inside very-well-coveredness
-    original = lmss.classifiers.is_well_covered
+    original = lmss.classifiers._well_covered
     calls = []
 
-    def counting(g):
+    def counting(g, a, walk):
         calls.append(g)
-        return original(g)
+        return original(g, a, walk)
 
     patch_lmss(original, counting)
     report = analyze_graph(fixture("fig8_G1"), name="fig8_G1")
@@ -178,6 +178,14 @@ def test_cli_verify_empty_corpus_exits_2():
     assert err.startswith("error: ") and "empty" in err and err.count("\n") == 1
 
 
+def test_cli_verify_empty_streamed_corpus_exits_2():
+    # the emptiness is known only once the stream ends: K1 is not very well-covered
+    code, out, err = run_cli(
+        "verify", "--theorem", "th7", "--source", "exhaustive", "--max-n", "1", "--filter", "vwc",
+    )
+    assert (code, out, err) == (2, "", "error: the corpus is empty: no graph to check\n")
+
+
 def test_cli_verify_exit_codes():
     code, out, _ = run_cli(
         "verify", "--theorem", "th8", "--source", "fixtures",
@@ -268,6 +276,15 @@ def test_cli_generate_below_a_file_names_the_file(tmp_path):
         assert code == 2 and out == ""
         assert err == f"error: cannot write {target}: {blocker} is not a directory\n"
         assert blocker.read_text() == "keep\n"
+
+
+def test_cli_generate_rejects_its_corpus_before_writing(tmp_path):
+    # the corpus streams, so a bad spec must fail before the output is begun
+    for corpus in (("--source", "exhaustive", "--max-n", "10"),
+                   ("--source", "random", "--count", "2", "--n", "17", "--p", "0.5", "--seed", "1")):
+        code, out, err = run_cli("generate", *corpus, "--output", str(tmp_path / "sub" / "x.txt"))
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "sub").exists()
 
 
 def test_cli_generate_onto_a_directory_exits_2(tmp_path):

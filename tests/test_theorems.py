@@ -2,7 +2,7 @@ import pytest
 
 from lmss import CorpusSpec, Matching, UsageError, corona, complete, cycle, fixture, verify
 from lmss.corpus import iter_corpus
-from lmss.classifiers import is_well_covered
+from lmss.classifiers import _well_covered
 from lmss.facts import Facts
 from lmss.matching import _alternating_cycles, _count_perfect_matchings_on, count_perfect_matchings
 from lmss.theorems import RULES, _check_th10iv
@@ -87,11 +87,11 @@ def test_verify_computes_well_covered_once_per_item(patch_lmss):
                       filter="connected")
     calls = []
 
-    def counting(g):
+    def counting(g, a, walk):
         calls.append(g)
-        return is_well_covered(g)
+        return _well_covered(g, a, walk)
 
-    patch_lmss(is_well_covered, counting)
+    patch_lmss(_well_covered, counting)
     assert verify(spec, ["th8", "th3", "th88iii"]).passed
     assert calls == [item.graph for item in iter_corpus(spec)]
 
