@@ -18,7 +18,7 @@ from .graphs import (
     closed_neighborhood_bits,
 )
 from .matching import _mu_on, mu
-from .stability import _alpha_on, _stable_sets, alpha, psi_enumerate
+from .stability import StableSetFamily, _alpha_on, _stable_sets, alpha, psi_enumerate
 
 
 def maximal_stable_sets(g: Graph) -> list[int]:
@@ -46,14 +46,13 @@ def has_isolated_vertices(g: Graph) -> bool:
 
 def is_very_well_covered(g: Graph) -> bool:
     """Well-covered, no isolated vertices, and |V| = 2 alpha."""
-    a = alpha(g)
-    return _very_well_covered(g, a, lambda: _well_covered(g, a, _stable_sets(g)))
+    return _very_well_covered(g, lambda: alpha(g), lambda: _well_covered(g, g.n // 2, _stable_sets(g)))
 
 
-def _very_well_covered(g: Graph, a: int, well_covered: Callable[[], bool]) -> bool:
-    """The definition, given alpha; the costly ``well_covered()`` is asked
-    only if the rest holds."""
-    return not has_isolated_vertices(g) and g.n == 2 * a and well_covered()
+def _very_well_covered(g: Graph, alpha: Callable[[], int], well_covered: Callable[[], bool]) -> bool:
+    """The definition, cheap tests first: ``alpha()`` is asked only for an even
+    n with no isolated vertex, the costly ``well_covered()`` once n = 2 alpha."""
+    return not has_isolated_vertices(g) and g.n % 2 == 0 and g.n == 2 * alpha() and well_covered()
 
 
 def is_koenig_egervary(g: Graph) -> bool:
@@ -131,12 +130,17 @@ def has_pendant_perfect_matching(g: Graph) -> bool:
 def psi_neighborhoods_are_ke(g: Graph) -> tuple[bool, VertexSet | None]:
     """Does every local maximum stable set have a Koenig-Egervary neighbourhood?
 
-    Returns the first violating set (ascending mask order) when not.  alpha
-    and mu of the neighbourhoods are read through one memo each per call.
+    Returns the first violating set (ascending mask order) when not.
     """
+    return _psi_neighborhoods_are_ke(g, psi_enumerate(g))
+
+
+def _psi_neighborhoods_are_ke(g: Graph, psi: StableSetFamily) -> tuple[bool, VertexSet | None]:
+    """``psi_neighborhoods_are_ke`` read off the psi family of g; alpha and mu
+    of the neighbourhoods are read through one memo each per call."""
     amemo: dict[int, int] = {}
     mmemo: dict[int, int] = {}
-    for m in psi_enumerate(g).members:
+    for m in psi.members:
         closed = closed_neighborhood_bits(g, m)
         if _alpha_on(g, closed, amemo) + _mu_on(g, closed, mmemo) != closed.bit_count():
             return False, VertexSet(g, m)

@@ -14,11 +14,8 @@ from functools import cached_property
 from .classifiers import _very_well_covered, _well_covered
 from .graphs import Graph
 from .greedoid import check_accessibility, check_exchange
-from .matching import (
-    Matching,
-    _count_perfect_matchings_on,
-    enumerate_maximum_matchings,
-)
+from .matching import (Matching, _count_perfect_matchings_on, count_perfect_matchings,
+                       enumerate_maximum_matchings, mu)
 from .stability import StableSetFamily, _omega, _psi, _stable_sets, alpha
 
 
@@ -47,6 +44,18 @@ class Facts:
         return alpha(self.graph)
 
     @_fact
+    def mu(self) -> int:
+        return mu(self.graph)
+
+    @_fact
+    def koenig_egervary(self) -> bool:
+        return self.alpha + self.mu == self.graph.n
+
+    @_fact
+    def perfect_matching_count(self) -> int:
+        return count_perfect_matchings(self.graph)
+
+    @_fact
     def stable_sets(self) -> list[tuple[int, int]]:
         """The stable-set walk: every ``(S, N[S])`` in ascending order of S."""
         return _stable_sets(self.graph)
@@ -57,7 +66,7 @@ class Facts:
 
     @_fact
     def very_well_covered(self) -> bool:
-        return _very_well_covered(self.graph, self.alpha, lambda: self.well_covered)
+        return _very_well_covered(self.graph, lambda: self.alpha, lambda: self.well_covered)
 
     @_fact
     def psi(self) -> StableSetFamily:

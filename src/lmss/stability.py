@@ -9,7 +9,8 @@ lists each stable set S together with N[S], in ascending mask order:
 
 * psi (``psi_enumerate``) keeps S with |S| = alpha(G[N[S]]), the
   definition, with alpha read from ``_alpha_on``, a memoised recursion on
-  the vertex mask that visits only the masks those N[S] reach;
+  the vertex mask that visits only the masks those N[S] reach and always
+  takes a pendant or isolated lowest vertex;
 * the maximum stable sets (``omega_enumerate``) keep |S| = alpha(G);
 * the maximal stable sets (``classifiers.maximal_stable_sets``) keep
   N[S] = V.
@@ -45,8 +46,10 @@ def _alpha_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
     """alpha of the subgraph induced by the vertex mask ``avail``.
 
     For the lowest vertex v of the mask: either v goes in (drop its closed
-    neighbourhood) or, only when v has a neighbour inside the mask, v stays
-    out (drop v); an isolated v is always in some maximum stable set.
+    neighbourhood) or, only when v has two or more neighbours inside the
+    mask, v stays out (drop v).  Some maximum stable set holds an isolated
+    v, and one holds a pendant v with neighbour u: a maximum stable set
+    without v holds u, else it could gain v, and may swap u for v.
     ``memo`` maps masks to values; it is valid for one graph only, and every
     mask of that graph may share it.
     """
@@ -58,7 +61,7 @@ def _alpha_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
     low = avail & -avail
     nbrs = g.adj[low.bit_length() - 1] & avail
     best = 1 + _alpha_on(g, avail & ~(nbrs | low), memo)
-    if nbrs:
+    if nbrs & (nbrs - 1):
         without = _alpha_on(g, avail ^ low, memo)
         if without > best:
             best = without

@@ -7,8 +7,9 @@ through independent code paths (enumeration vs. search, counting vs.
 axioms) rather than trusting one implementation twice.
 
 A rule receives the item's ``Facts`` and reads from it the facts that
-other rules also read: alpha and the stable-set walk, psi and its axioms,
-omega, the maximum matchings, (very) well-coveredness, and the
+other rules also read: alpha, mu, the Koenig-Egervary verdict, the
+stable-set walk, psi and its axioms, omega, the maximum matchings, (very)
+well-coveredness, the number of perfect matchings, and the
 perfect-matching counts of saturated masks behind the definitional
 uniquely-restricted test (th9, th22, equiv7).  That count shares no code with the alternating-cycle
 search it is compared with.
@@ -25,14 +26,13 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .graphs import Graph, UsageError, VertexSet, bits, serialize
-from .stability import _chain_grows, _psi_member_bits, _psi_member_counting, alpha
+from .stability import _chain_grows, _psi_member_counting, alpha
 from .matching import (
     Matching,
     _cycle_free,
     _matching_walk,
     _matchings,
     _pm_edge_cycle_exclusion,
-    count_perfect_matchings,
     enumerate_perfect_matchings,
     find_alternating_c4,
     has_unique_perfect_matching,
@@ -41,12 +41,11 @@ from .matching import (
     mu,
 )
 from .classifiers import (
+    _psi_neighborhoods_are_ke,
     has_isolated_vertices,
     is_bipartite,
     is_c4_free,
     is_forest,
-    is_koenig_egervary,
-    psi_neighborhoods_are_ke,
 )
 from .corpus import CorpusSpec, iter_corpus
 from .facts import Facts
@@ -89,7 +88,7 @@ def _check_th2(item: Facts) -> list[Violation]:
 def _check_th3(item: Facts) -> list[Violation]:
     if not item.very_well_covered:
         return []
-    ok, witness = psi_neighborhoods_are_ke(item.graph)
+    ok, witness = _psi_neighborhoods_are_ke(item.graph, item.psi)
     if not ok:
         return [_violation("th3", item, f"N[{witness!r}] induces a non-Koenig-Egervary graph")]
     return []
@@ -97,7 +96,7 @@ def _check_th3(item: Facts) -> list[Violation]:
 
 def _check_th4(item: Facts) -> list[Violation]:
     g = item.graph
-    if not is_koenig_egervary(g):
+    if not item.koenig_egervary:
         return []
     out = []
     for m in item.maximum_matchings:
@@ -107,7 +106,7 @@ def _check_th4(item: Facts) -> list[Violation]:
                 out.append(
                     _violation("th4", item, f"maximum matching {m!r} not inside the cut of {s:#x}")
                 )
-    a0, m0 = item.alpha, mu(g)
+    a0, m0 = item.alpha, item.mu
     bip = is_bipartite(g)
     for u, v in g.edges():
         reduced = Graph(
@@ -143,7 +142,7 @@ def _check_th8(item: Facts) -> list[Violation]:
         out.append(
             _violation("th8", item, f"axioms say {brute}, unique-perfect-matching says {unique}")
         )
-    if unique != (count_perfect_matchings(g) == 1):
+    if unique != (item.perfect_matching_count == 1):
         out.append(_violation("th8", item, "unique-matching witness disagrees with enumeration"))
     return out
 
@@ -199,11 +198,10 @@ def _check_th22(item: Facts) -> list[Violation]:
 
 
 def _check_th88iii(item: Facts) -> list[Violation]:
-    g = item.graph
-    if has_isolated_vertices(g):
+    if has_isolated_vertices(item.graph):
         return []
     lhs = item.very_well_covered
-    rhs = item.well_covered and is_koenig_egervary(g)
+    rhs = item.well_covered and item.koenig_egervary
     if lhs != rhs:
         return [_violation("th88iii", item, f"very-well-covered {lhs}, well-covered+KE {rhs}")]
     return []
@@ -251,9 +249,10 @@ def _check_lem3(item: Facts) -> list[Violation]:
     g = item.graph
     if not item.very_well_covered:
         return []
+    psi = set(item.psi.members)
     out = []
     for mask, _ in item.stable_sets:
-        if _psi_member_counting(g, mask) != _psi_member_bits(g, mask):
+        if _psi_member_counting(g, mask) != (mask in psi):
             s = VertexSet(g, mask)
             out.append(_violation("lem3", item, f"counting and oracle membership split on {s!r}"))
     return out
@@ -263,13 +262,14 @@ def _check_lem65(item: Facts) -> list[Violation]:
     g = item.graph
     if not item.very_well_covered:
         return []
+    psi = set(item.psi.members)
     out = []
     for bmask in item.psi.members:
         for v in bits(g.full_mask & ~bmask):
             if g.adj[v] & bmask:
                 continue
             amask = bmask | 1 << v
-            if _chain_grows(g, bmask, amask) != _psi_member_bits(g, amask):
+            if _chain_grows(g, bmask, amask) != (amask in psi):
                 out.append(
                     _violation("lem65", item, f"growth test and oracle split on {bmask:#x}+{v}")
                 )
@@ -299,11 +299,10 @@ def _check_equiv7(item: Facts) -> list[Violation]:
 
 
 def _check_c4free_corollary(item: Facts) -> list[Violation]:
-    g = item.graph
-    if not (item.very_well_covered and is_c4_free(g)):
+    if not (item.very_well_covered and is_c4_free(item.graph)):
         return []
     out = []
-    if count_perfect_matchings(g) != 1:
+    if item.perfect_matching_count != 1:
         out.append(_violation("c4free-corollary", item, "no unique perfect matching"))
     if not item.greedoid:
         out.append(_violation("c4free-corollary", item, "family is not a greedoid"))

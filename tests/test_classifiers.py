@@ -41,6 +41,20 @@ def test_very_well_covered_examples():
     assert not is_very_well_covered(empty_graph(2))  # isolated vertices
 
 
+def test_very_well_covered_skips_alpha_on_odd_n_or_an_isolated_vertex(patch_lmss):
+    import lmss.stability
+    from lmss import empty_graph
+    from lmss.facts import Facts
+
+    original = lmss.stability.alpha
+    calls = []
+    patch_lmss(original, lambda g: calls.append(g) or original(g))
+    for g in (path(5), complete(3), empty_graph(2)):
+        assert not is_very_well_covered(g) and not Facts(g).very_well_covered
+    assert calls == []
+    assert is_very_well_covered(cycle(4)) and len(calls) == 1
+
+
 def test_very_well_covered_against_oracle(connected_upto_6):
     for g in connected_upto_6:
         assert is_very_well_covered(g) == oracles.is_very_well_covered(

@@ -84,6 +84,18 @@ def test_analyze_computes_well_covered_once(patch_lmss):
     assert len(calls) == 1
 
 
+def test_analyze_computes_alpha_and_mu_once(patch_lmss):
+    # Koenig-Egervary and very-well-coveredness read the report's alpha and mu
+    calls = []
+    for module, name in ((lmss.stability, "alpha"), (lmss.matching, "mu"),
+                         (lmss.classifiers, "is_koenig_egervary")):
+        original = getattr(module, name)
+        patch_lmss(original, lambda g, name=name, original=original: calls.append(name) or original(g))
+    report = analyze_graph(fixture("fig8_G1"), name="fig8_G1")
+    assert report.very_well_covered and report.koenig_egervary
+    assert sorted(calls) == ["alpha", "mu"]
+
+
 def test_report_json_roundtrip():
     for name in ("fig8_G1", "fig10_G", "fig4_G", "fig9_G2"):
         r = analyze_graph(fixture(name), name=name)

@@ -23,6 +23,7 @@ from lmss import (
     psi_member_vwc,
 )
 from lmss.fixtures import fixture
+from lmss.stability import _alpha_on
 
 
 def fam_as_sets(family):
@@ -58,6 +59,15 @@ def test_omega_enumerate():
     omega = fam_as_sets(omega_enumerate(g))
     assert frozenset(g.set_of("a", "d", "f").vertices()) in omega
     assert frozenset(g.set_of("b", "e", "g").vertices()) in omega
+
+
+def test_alpha_recursion_takes_a_pendant_lowest_vertex():
+    # the lowest vertex of every mask the path reaches is pendant, so the
+    # recursion never branches: one memo entry per taken vertex
+    g = path(16)
+    memo = {}
+    assert _alpha_on(g, g.full_mask, memo) == 8
+    assert len(memo) == 8
 
 
 def test_omega_against_oracle(connected_upto_6):

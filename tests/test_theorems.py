@@ -5,6 +5,7 @@ from lmss.corpus import iter_corpus
 from lmss.classifiers import _well_covered
 from lmss.facts import Facts
 from lmss.matching import _alternating_cycles, _count_perfect_matchings_on, count_perfect_matchings
+from lmss.stability import _chain_grows, _psi_member_counting
 from lmss.theorems import RULES, _check_th10iv
 
 
@@ -94,6 +95,19 @@ def test_verify_computes_well_covered_once_per_item(patch_lmss):
     patch_lmss(_well_covered, counting)
     assert verify(spec, ["th8", "th3", "th88iii"]).passed
     assert calls == [item.graph for item in iter_corpus(spec)]
+
+
+def test_lem3_and_lem65_report_a_shortcut_that_disagrees_with_psi(patch_lmss):
+    # each rule compares its shortcut with membership in psi: flip the
+    # shortcut's answer on one set and the rule must report that set alone
+    spec = CorpusSpec(source="fixtures", fixtures=("fig8_G1",))
+    assert verify(spec, ["lem3", "lem65"]).passed
+    patch_lmss(_psi_member_counting, lambda g, mask: _psi_member_counting(g, mask) != (mask == 0))
+    lem3, lem65 = verify(spec, ["lem3", "lem65"]).reports
+    assert [v.rule for v in lem3.violations] == ["lem3"] and not lem65.violations
+    patch_lmss(_chain_grows, lambda g, b, a: _chain_grows(g, b, a) != (a == 1))
+    lem65 = verify(spec, ["lem65"]).reports[0]
+    assert [v.detail for v in lem65.violations] == ["growth test and oracle split on 0x0+0"]
 
 
 def test_multi_rule_reports_equal_single_rule_reports(monkeypatch):
