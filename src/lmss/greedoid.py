@@ -40,11 +40,15 @@ def check_accessibility(f: SetSystem) -> tuple[bool, int | None]:
     """Every non-empty member must contain a one-smaller member.
 
     The empty set is treated as an implicit member, so singletons are
-    always accessible.  Returns the first violating member otherwise.
+    always accessible.  Bits drop lowest first, up to the first one-smaller
+    member.  Returns the first violating member, in ascending order, otherwise.
     """
     have = {0, *f.members}
     for x in f.members:
-        if x and not any(x ^ (1 << v) in have for v in bits(x)):
+        rest = x
+        while rest and x ^ (rest & -rest) not in have:
+            rest &= rest - 1
+        if x and not rest:
             return False, x
     return True, None
 

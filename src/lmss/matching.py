@@ -16,13 +16,14 @@ that found it.
 
 Two walks run on masks and build no ``Matching`` or ``AlternatingCycle``:
 ``_matching_walk`` yields every matching as (edge pairs, mate array,
-saturated mask), and ``_alternating_cycles`` yields the alternating
-cycles of one matching as vertex tuples.  Those objects are built only at
-the public boundary: ``enumerate_matchings`` wraps each matching in a
-validated ``Matching``, ``find_alternating_cycle`` and
-``enumerate_alternating_cycles`` wrap cycles in ``AlternatingCycle``s, and
-``is_uniquely_restricted`` only asks whether a first cycle exists.  The
-th9 rule reads both walks directly.
+saturated mask), and ``_alternating_cycles`` yields as vertex tuples the
+alternating cycles, for the matching a mate array describes, through the
+seed edges it is given: every cycle when every matched edge is a seed.
+Those objects are built only at the public boundary: ``enumerate_matchings``
+wraps each matching in a validated ``Matching``, ``find_alternating_cycle``
+and ``enumerate_alternating_cycles`` wrap cycles in ``AlternatingCycle``s,
+and ``is_uniquely_restricted`` only asks whether a first cycle exists; all
+three seed every matched edge.  The th9 rule reads both walks directly.
 
 The unique-perfect-matching question is one search,
 ``_perfect_matching_and_cycle``: the first perfect matching, then the
@@ -329,15 +330,16 @@ def _mate_of(g: Graph, m: Matching) -> list[int]:
     return mate
 
 
-def _alternating_cycles(adj: tuple[int, ...], pairs: tuple[Edge, ...], mate: list[int]):
-    """Alternating cycles with respect to the matching ``pairs``, as vertex
-    tuples whose first edge is matched, once per matched edge on them.
+def _alternating_cycles(adj: tuple[int, ...], seeds: tuple[Edge, ...], mate: list[int]):
+    """Alternating cycles through the edges ``seeds`` of the matching ``mate``,
+    as vertex tuples whose first edge is a seed, once per seed on them.
 
-    DFS over alternating walks seeded at each matched edge ab in canonical
-    order, extending through ascending neighbours and closing at a.
-    ``adj`` is the graph's adjacency and ``mate[v]`` is v's partner or -1.
+    DFS over alternating walks from each seed ab in order, extending through
+    ascending neighbours and closing at a.  ``adj`` is the graph's adjacency
+    and ``mate[v]`` is v's partner or -1; seeding every matched edge finds
+    every alternating cycle.
     """
-    for a, b in pairs:
+    for a, b in seeds:
         path = [a, b]
         onpath = (1 << a) | (1 << b)
         # rest: untried neighbours of the walk's end; stack: those of earlier ends
@@ -369,9 +371,9 @@ def _alternating_cycles(adj: tuple[int, ...], pairs: tuple[Edge, ...], mate: lis
             rest = adj[w] & ~low
 
 
-def _cycle_free(adj: tuple[int, ...], pairs: tuple[Edge, ...], mate: list[int]) -> bool:
-    """True when the matching ``pairs`` has no alternating cycle."""
-    return next(_alternating_cycles(adj, pairs, mate), None) is None
+def _cycle_free(adj: tuple[int, ...], seeds: tuple[Edge, ...], mate: list[int]) -> bool:
+    """True when no alternating cycle of the matching ``mate`` passes through a seed."""
+    return next(_alternating_cycles(adj, seeds, mate), None) is None
 
 
 def _cycle_of(g: Graph, vertices: tuple[int, ...]) -> AlternatingCycle:

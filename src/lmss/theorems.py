@@ -17,7 +17,10 @@ search it is compared with.
 th9 reads the matching walk itself: for every matching it runs both
 routes on the walk's masks, the alternating-cycle walk on the mate array
 and the count on the saturated mask, and builds a ``Matching`` only to
-describe a violation.
+describe a violation.  The walk is a DFS, so each matching's parent (it
+minus its newest edge) is the latest matching one edge smaller; when the
+parent is cycle-free, the cycle walk starts at the newest edge alone.
+th4 reads alpha(G - uv) on a mask of G, through one memo per graph.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .graphs import Graph, UsageError, VertexSet, bits, serialize
-from .stability import _chain_grows, _psi_member_counting, alpha
+from .stability import _alpha_on, _chain_grows, _psi_member_counting
 from .matching import (
     Matching,
     _cycle_free,
@@ -108,7 +111,10 @@ def _check_th4(item: Facts) -> list[Violation]:
                 )
     a0, m0 = item.alpha, item.mu
     bip = is_bipartite(g)
+    memo: dict[int, int] = {}
     for u, v in g.edges():
+        # a stable set of G - uv beating alpha(G) is {u, v} plus one outside N[u] | N[v]
+        alpha_critical = 2 + _alpha_on(g, g.full_mask & ~(g.adj[u] | g.adj[v]), memo) > a0
         reduced = Graph(
             g.n,
             tuple(
@@ -116,7 +122,6 @@ def _check_th4(item: Facts) -> list[Violation]:
                 for w, row in enumerate(g.adj)
             ),
         )
-        alpha_critical = alpha(reduced) > a0
         mu_critical = mu(reduced) < m0
         if alpha_critical and not mu_critical:
             out.append(_violation("th4", item, f"edge ({u},{v}) alpha-critical but not mu-critical"))
@@ -148,10 +153,17 @@ def _check_th8(item: Facts) -> list[Violation]:
 
 
 def _check_th9(item: Facts) -> list[Violation]:
+    """Both routes on every matching M.  The cycle route seeds M's newest edge ab alone
+    when P = M - ab is cycle-free, which is exact: a cycle missing a and b alternates for
+    P too, and one through a or b uses its matched edge ab.  Otherwise it seeds all of M."""
     g = item.graph
     out = []
+    # free[d]: the cycle route's verdict on the latest d-edge matching (d = 0 seeds nothing)
+    free = [True]
     for pairs, mate, saturated in _matching_walk(g):
-        by_cycle = _cycle_free(g.adj, pairs, mate)
+        d = len(pairs)
+        by_cycle = _cycle_free(g.adj, pairs[-1:] if free[d - 1] else pairs, mate)
+        free[d:] = (by_cycle,)
         by_count = item.unique_pm_on(saturated)
         if by_cycle != by_count:
             m = Matching(g, pairs)

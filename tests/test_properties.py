@@ -16,6 +16,7 @@ from lmss import (
     VertexSet,
     alpha,
     canonical_key,
+    check_accessibility,
     check_exchange,
     closed_neighborhood,
     complete,
@@ -89,6 +90,30 @@ def _exchange_by_pairs(f):
 @settings(max_examples=300)
 def test_check_exchange_matches_pairwise_definition(f):
     assert check_exchange(f) == _exchange_by_pairs(f)
+
+
+def _accessibility_by_sets(f):
+    """Accessibility from its definition on frozensets, the empty set
+    implicit: the first member, in ascending order, that loses no element
+    into the family fails."""
+    sets = [(m, frozenset(v for v in range(f.ground_size) if m >> v & 1)) for m in f.members]
+    family = {s for _, s in sets} | {frozenset()}
+    for m, s in sets:
+        if s and not any(s - {v} in family for v in s):
+            return False, m
+    return True, None
+
+
+@given(set_systems(max_n=8))
+@settings(max_examples=300)
+def test_check_accessibility_matches_set_definition(f):
+    assert check_accessibility(f) == _accessibility_by_sets(f)
+
+
+def test_check_accessibility_matches_set_definition_on_psi(connected_upto_6):
+    verdicts = [check_accessibility(psi_enumerate(g)) for g in connected_upto_6]
+    assert verdicts == [_accessibility_by_sets(psi_enumerate(g)) for g in connected_upto_6]
+    assert {ok for ok, _ in verdicts} == {True, False}
 
 
 @given(graphs(max_n=6))

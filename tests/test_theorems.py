@@ -1,11 +1,15 @@
+from collections import Counter
+
 import pytest
 
+import oracles
 from lmss import CorpusSpec, Matching, UsageError, corona, complete, cycle, fixture, verify
-from lmss.corpus import iter_corpus
+from lmss.corpus import connected_graphs, iter_corpus
 from lmss.classifiers import _well_covered
 from lmss.facts import Facts
 from lmss.matching import _alternating_cycles, _count_perfect_matchings_on, count_perfect_matchings
-from lmss.stability import _chain_grows, _psi_member_counting
+from lmss.graphs import serialize
+from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting
 from lmss.theorems import RULES, _check_th10iv
 
 
@@ -143,6 +147,28 @@ def test_th4_checker_on_ke_graphs(connected_upto_6):
         assert _check_th4(Facts(g, "g")) == []
 
 
+def test_th4_alpha_of_an_edge_deleted_graph_reads_a_mask_of_the_graph():
+    # a stable set of G - uv larger than any of G's is {u, v} plus a stable
+    # set outside N[u] | N[v], so alpha(G - uv) is the larger of alpha(G)
+    # and 2 + alpha on that mask of G
+    for g in (g for n in range(2, 8) for g in connected_graphs(n)):
+        edges = oracles.edges_of(g)
+        a = oracles.alpha(g.n, edges)
+        memo = {}
+        for u, v in edges:
+            both = 2 + _alpha_on(g, g.full_mask & ~(g.adj[u] | g.adj[v]), memo)
+            reduced = [e for e in edges if e != (u, v)]
+            assert max(a, both) == oracles.alpha(g.n, reduced), (serialize(g), u, v)
+
+
+@pytest.mark.slow
+def test_th4_and_th9_hold_on_every_connected_graph_to_eight():
+    # every matching of every connected graph with n <= 8 meets the newest-edge seeding
+    summary = verify(CorpusSpec(source="exhaustive", max_n=8), ["th4", "th9"])
+    assert summary.total_violations == 0
+    assert [r.checked for r in summary.reports] == [12_113, 12_113]
+
+
 def test_verify_all_names_every_rule_the_corpus_admits():
     plain = verify(CorpusSpec(source="fixtures", fixtures=("fig8_G1",)), ["all"])
     assert [r.rule for r in plain.reports] == sorted(n for n in RULES if not RULES[n].needs_corona)
@@ -197,19 +223,48 @@ def test_th9_runs_the_count_route_on_every_matching(patch_lmss):
     ]
 
 
+def _matching_of_mate(mate):
+    return tuple((u, w) for u, w in enumerate(mate) if u < w)
+
+
 def test_th9_runs_the_cycle_route_on_every_matching(patch_lmss):
     # {uv,tx} is uniquely restricted; a cycle walk that invents a cycle
-    # for it alone must surface as exactly one violation
+    # for it alone must surface as exactly one violation.  The walk may be
+    # seeded at the newest edge only, so the lie keys on the whole matching
     g = fixture("fig1_H")
     target = Matching.of(g, ("u", "v"), ("t", "x"))
 
-    def lying(adj, pairs, mate):
-        if tuple(pairs) == target.edges:
+    def lying(adj, seeds, mate):
+        if _matching_of_mate(mate) == target.edges:
             yield (0, 1, 2, 3)
         else:
-            yield from _alternating_cycles(adj, pairs, mate)
+            yield from _alternating_cycles(adj, seeds, mate)
 
     patch_lmss(_alternating_cycles, lying)
     assert _th9_details_on_fig1_H() == [
         f"{target!r}: alternating-cycle route False, enumeration True"
     ]
+
+
+def test_th9_seeds_the_newest_edge_exactly_below_a_cycle_free_parent(patch_lmss):
+    # one cycle search per matching; it starts at the newest edge alone
+    # exactly when the matching minus that edge is uniquely restricted
+    g = fixture("fig1_H")
+    edges = oracles.edges_of(g)
+    calls = []
+
+    def recording(adj, seeds, mate):
+        calls.append((tuple(seeds), _matching_of_mate(mate)))
+        return _alternating_cycles(adj, seeds, mate)
+
+    patch_lmss(_alternating_cycles, recording)
+    assert _th9_details_on_fig1_H() == []
+    assert Counter(frozenset(m) for _, m in calls) == Counter(oracles.all_matchings(edges))
+    newest_only = 0
+    for seeds, m in calls:
+        if not m:
+            continue
+        parent_free = oracles.is_uniquely_restricted(g.n, edges, m[:-1])
+        assert seeds == (m[-1:] if parent_free else m)
+        newest_only += len(m) > 1 and parent_free
+    assert newest_only
