@@ -8,6 +8,7 @@ Exit codes: 0 on success (verify: zero violations), 1 on violations,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -48,7 +49,12 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--filter", choices=list(FILTERS))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lmss`` parser, built on the first call and shared by every
+    later one: callers may parse with it but must not mutate it.  Parsing
+    leaves it unchanged (``append`` actions copy their default), and its
+    help strings read only module-level constants."""
     parser = argparse.ArgumentParser(
         prog="lmss",
         description="Local maximum stable sets, very well-covered graphs, "
@@ -100,7 +106,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    summary = verify(_corpus_spec(args), args.theorem)
+    # a name repeated on the command line is checked once, at its first position
+    summary = verify(_corpus_spec(args), list(dict.fromkeys(args.theorem)))
     if args.format == "json":
         sys.stdout.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
     else:

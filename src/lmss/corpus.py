@@ -475,6 +475,8 @@ class CorpusSpec:
         # checked here, not at the first draw, so that no output is begun
         if self.n is not None and self.n > MAX_VERTICES:
             raise UsageError(f"n must be at most {MAX_VERTICES}, got {self.n}")
+        if self.max_total is not None and self.max_total > MAX_VERTICES:
+            raise UsageError(f"max_total must be at most {MAX_VERTICES}, got {self.max_total}")
         if self.edge_probability is not None and not 0 <= self.edge_probability <= 1:
             raise UsageError(f"edge_probability must lie in [0, 1], got {self.edge_probability}")
         if self.fixtures is not None and not self.fixtures:

@@ -412,19 +412,20 @@ def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
     computed for one rule serves the others, and both are dropped before
     the next item is built.  Reports keep the requested order and
     violations keep corpus order.  The name ``all`` stands for every rule
-    the corpus admits.  Every rule name is validated before the corpus is
-    built; an empty corpus is a usage error, since it would pass every
-    rule."""
-    if "all" in rule_names:
-        rule_names = [n for n in sorted(RULES) if spec.carries_parts or not RULES[n].needs_corona]
-    rules = []
+    the corpus admits.  Every rule name, one given beside ``all`` too, is
+    validated before the corpus is built; an empty corpus is a usage
+    error, since it would pass every rule."""
     for name in rule_names:
+        if name == "all":
+            continue
         rule = RULES.get(name)
         if rule is None:
             raise UsageError(f"unknown rule {name!r}")
         if rule.needs_corona and not spec.carries_parts:
             raise UsageError(f"rule {name!r} needs a corona corpus")
-        rules.append(rule)
+    if "all" in rule_names:
+        rule_names = [n for n in sorted(RULES) if spec.carries_parts or not RULES[n].needs_corona]
+    rules = [RULES[name] for name in rule_names]
     found: list[list[Violation]] = [[] for _ in rules]
     checked = 0
     for it in iter_corpus(spec):

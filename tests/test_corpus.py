@@ -185,6 +185,8 @@ def test_corpus_spec_validation():
         # zero counts and bounds name their field, not an empty corpus
         (dict(source="coronas", max_h=0), "max_h"),
         (dict(source="coronas", max_total=0), "max_total"),
+        # a corona bound past the vertex cap fails here, before any corona is built
+        (dict(source="coronas", max_total=17), "max_total"),
         (dict(source="random", count=5, n=0, edge_probability=0.5, seed=1), "n"),
     ):
         with pytest.raises(UsageError, match=field):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import lmss
-from lmss import analyze_graph, complete, cycle, fixture, serialize
+from lmss import analyze_graph, cli, complete, cycle, fixture, serialize
 from lmss.fixtures import fixture_names
 from lmss.report import ClassificationReport, render_text
 
@@ -214,6 +215,26 @@ def test_cli_verify_exit_codes():
     assert code == 2 and "seed" in err
 
 
+@pytest.mark.parametrize("name, message", [
+    ("nosuch", "unknown rule 'nosuch'"),
+    ("th10iv", "rule 'th10iv' needs a corona corpus"),
+], ids=["unknown", "needs-corona"])
+def test_cli_verify_checks_a_name_given_beside_all(name, message):
+    code, out, err = run_cli(
+        "verify", "--theorem", "all", "--theorem", name, "--source", "exhaustive", "--max-n", "3",
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cli_verify_checks_a_repeated_rule_once():
+    code, out, _ = run_cli(
+        "verify", "--theorem", "th7", "--theorem", "th8", "--theorem", "th7",
+        "--source", "exhaustive", "--max-n", "4", "--format", "json",
+    )
+    assert code == 0
+    assert [r["rule"] for r in json.loads(out)["rules"]] == ["th7", "th8"]
+
+
 def test_cli_verify_json_deterministic():
     args = (
         "verify", "--theorem", "all", "--source", "random", "--count", "30",
@@ -293,7 +314,8 @@ def test_cli_generate_below_a_file_names_the_file(tmp_path):
 def test_cli_generate_rejects_its_corpus_before_writing(tmp_path):
     # the corpus streams, so a bad spec must fail before the output is begun
     for corpus in (("--source", "exhaustive", "--max-n", "10"),
-                   ("--source", "random", "--count", "2", "--n", "17", "--p", "0.5", "--seed", "1")):
+                   ("--source", "random", "--count", "2", "--n", "17", "--p", "0.5", "--seed", "1"),
+                   ("--source", "coronas", "--max-total", "17")):
         code, out, err = run_cli("generate", *corpus, "--output", str(tmp_path / "sub" / "x.txt"))
         assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "sub").exists()
@@ -305,3 +327,41 @@ def test_cli_generate_onto_a_directory_exits_2(tmp_path):
     )
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {tmp_path}") and err.count("\n") == 1
+
+
+def test_main_called_repeatedly_in_one_process_prints_the_cli_bytes(capsys):
+    analyze = ["analyze", "--fixture", "fig8_G1", "--format", "text"]
+    corpus = ["--source", "exhaustive", "--max-n", "5", "--format", "json"]
+    first_verify = ["verify", "--theorem", "th7", "--theorem", "th8", *corpus]
+    second_verify = ["verify", "--theorem", "th11", *corpus]
+
+    def same_as_cli(argv):
+        code, out, _ = run_cli(*argv)
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == out
+        return out
+
+    same_as_cli(analyze)
+    same_as_cli(first_verify)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    same_as_cli(analyze)
+    # no --theorem appended by the first verify carries over
+    assert [r["rule"] for r in json.loads(same_as_cli(second_verify))["rules"]] == ["th11"]
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    argv = ["analyze", "--fixture", "fig8_G1", "--format", "json"]
+    assert cli.main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(5):
+        assert cli.main(argv) == 0
+    assert built == []
