@@ -88,7 +88,6 @@ from .greedoid import (
     psi_is_greedoid,
 )
 from .corpus import (
-    CorpusItem,
     CorpusSpec,
     canonical_graph,
     canonical_key,

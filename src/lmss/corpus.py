@@ -4,6 +4,11 @@ A corpus source is one entry of ``SOURCES``: a builder whose parameters
 are the ``CorpusSpec`` fields it reads, with their defaults.  Everything
 else reads that table and ``FILTERS``, so a new source is one entry there.
 
+A corpus item is a ``Facts``: its graph, its name and, for coronas, the
+base and parts, with every per-graph fact computed on first use.  A filter
+reads the item, so the fact it decides is the cached one that the rules
+of ``verify`` read next.
+
 Exhaustive generation augments the (n-1)-vertex catalogue by one vertex
 and rejects isomorphs by a canonical key.  Graphs try every neighbourhood
 of the new vertex, trees every single neighbour.  Feasible through n = 9
@@ -74,6 +79,7 @@ from typing import NamedTuple
 
 from . import classifiers
 from .graphs import MAX_VERTICES, Graph, UsageError, bits, corona, is_connected
+from .facts import Facts
 from .fixtures import fixture
 
 EXHAUSTIVE_LIMIT = 9
@@ -363,21 +369,14 @@ def random_graphs(count: int, n: int, edge_probability: float, seed: int) -> lis
     return list(_draws(count, n, edge_probability, seed))
 
 
-@dataclass(frozen=True)
-class CorpusItem:
-    """One graph of a corpus; coronas also carry their construction parts."""
-
-    name: str
-    graph: Graph
-    base: Graph | None = None
-    parts: tuple[Graph, ...] = ()
-
-
-def corona_family(max_x: int = 3, max_h: int = 3, max_total: int = 12) -> Iterator[CorpusItem]:
+def corona_family(max_x: int = 3, max_h: int = 3, max_total: int = 12) -> Iterator[Facts]:
     """Every corona with base size <= max_x, part sizes <= max_h, total <= max_total,
     one at a time."""
-    bases = [g for n in range(1, max_x + 1) for g in nonisomorphic_graphs(n)]
-    parts = [g for n in range(1, max_h + 1) for g in nonisomorphic_graphs(n)]
+    # a base of x vertices takes x parts, so larger bases and parts build no corona
+    top_x, top_h = min(max_x, max_total // 2), min(max_h, max_total - 1)
+    graph_keys(top_h)  # past the cap this raises at once
+    bases = [g for n in range(1, top_x + 1) for g in nonisomorphic_graphs(n)]
+    parts = [g for n in range(1, top_h + 1) for g in nonisomorphic_graphs(n)]
     shapes = (
         (x, hs)
         for x in bases
@@ -385,35 +384,35 @@ def corona_family(max_x: int = 3, max_h: int = 3, max_total: int = 12) -> Iterat
         if x.n + sum(h.n for h in hs) <= max_total
     )
     return (
-        CorpusItem(name=f"corona_{i:04d}", graph=corona(x, hs), base=x, parts=hs)
+        Facts(corona(x, hs), f"corona_{i:04d}", base=x, parts=hs)
         for i, (x, hs) in enumerate(shapes)
     )
 
 
-def _exhaustive(max_n: int) -> Iterator[CorpusItem]:
+def _exhaustive(max_n: int) -> Iterator[Facts]:
     graph_keys(max_n)  # past the cap this raises at once; else it generates every level
     return (
-        CorpusItem(name=f"g{n}_{i:05d}", graph=g)
+        Facts(g, f"g{n}_{i:05d}")
         for n in range(1, max_n + 1)
         for i, g in enumerate(filter(is_connected, map(graph_from_key, repeat(n), graph_keys(n))))
     )
 
 
-def _random(count: int, n: int, edge_probability: float, seed: int) -> Iterator[CorpusItem]:
+def _random(count: int, n: int, edge_probability: float, seed: int) -> Iterator[Facts]:
     return (
-        CorpusItem(name=f"r{n}_{i:05d}", graph=g)
+        Facts(g, f"r{n}_{i:05d}")
         for i, g in enumerate(_draws(count, n, edge_probability, seed))
     )
 
 
-def _fixtures(fixtures: tuple[str, ...]) -> list[CorpusItem]:
-    return [CorpusItem(name=name, graph=fixture(name)) for name in fixtures]
+def _fixtures(fixtures: tuple[str, ...]) -> list[Facts]:
+    return [Facts(fixture(name), name) for name in fixtures]
 
 
 class Source(NamedTuple):
     """A corpus source's builder, and whether its items carry corona parts."""
 
-    build: Callable[..., Iterable[CorpusItem]]
+    build: Callable[..., Iterable[Facts]]
     carries_parts: bool = False
 
     @property
@@ -428,12 +427,12 @@ SOURCES: dict[str, Source] = {
     "fixtures": Source(_fixtures),
 }
 
-FILTERS: dict[str, Callable[[Graph], bool]] = {
-    "none": lambda g: True,
-    "vwc": classifiers.is_very_well_covered,
-    "bipartite": classifiers.is_bipartite,
-    "forest": classifiers.is_forest,
-    "connected": is_connected,
+FILTERS: dict[str, Callable[[Facts], bool]] = {
+    "none": lambda item: True,
+    "vwc": lambda item: item.very_well_covered,
+    "bipartite": lambda item: classifiers.is_bipartite(item.graph),
+    "forest": lambda item: classifiers.is_forest(item.graph),
+    "connected": lambda item: is_connected(item.graph),
 }
 
 _COUNTS = ("max_n", "count", "n", "max_x", "max_h", "max_total")  # a seed may be any integer
@@ -477,6 +476,11 @@ class CorpusSpec:
             raise UsageError(f"n must be at most {MAX_VERTICES}, got {self.n}")
         if self.max_total is not None and self.max_total > MAX_VERTICES:
             raise UsageError(f"max_total must be at most {MAX_VERTICES}, got {self.max_total}")
+        # corona_family builds parts up to min(max_h, max_total - 1) vertices
+        if self.max_h is not None and min(self.max_h, self.max_total - 1) > EXHAUSTIVE_LIMIT:
+            raise UsageError(f"max_h above {EXHAUSTIVE_LIMIT} needs max_total at most "
+                             f"{EXHAUSTIVE_LIMIT + 1}, got max_h = {self.max_h}, "
+                             f"max_total = {self.max_total}")
         if self.edge_probability is not None and not 0 <= self.edge_probability <= 1:
             raise UsageError(f"edge_probability must lie in [0, 1], got {self.edge_probability}")
         if self.fixtures is not None and not self.fixtures:
@@ -492,7 +496,7 @@ class CorpusSpec:
         return {"source": self.source, "filter": self.filter, **reads}
 
 
-def iter_corpus(spec: CorpusSpec) -> Iterator[CorpusItem]:
+def iter_corpus(spec: CorpusSpec) -> Iterator[Facts]:
     """The corpus a spec describes, deterministically, one item at a time.
 
     The source's shared work is done, and the exhaustive cap met, before
@@ -501,4 +505,4 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[CorpusItem]:
     source = SOURCES[spec.source]
     items = source.build(**{name: getattr(spec, name) for name in source.reads})
     keep = FILTERS[spec.filter]
-    return (it for it in items if keep(it.graph))
+    return (it for it in items if keep(it))

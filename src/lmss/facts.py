@@ -1,9 +1,11 @@
 """The facts of one graph that two or more readers share, each computed once.
 
-``verify`` builds one ``Facts`` per corpus item and drops it with the item;
-``report.analyze_graph`` builds one for its graph.  So no cache outlives
-its graph.  A fact calls its function through this module's name for it,
-so a tracer or a test that rebinds the name reaches the call.
+A corpus item is a ``Facts``: every source of ``corpus`` yields one per
+graph, the corpus filter and ``verify``'s rules read the same one, and it
+is dropped with the item.  ``report.analyze_graph`` builds one for its
+graph.  So no cache outlives its graph.  A fact calls its function
+through this module's name for it, so a tracer or a test that rebinds the
+name reaches the call.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class _fact(cached_property):
 
 @dataclass(eq=False)
 class Facts:
-    """One graph, the ``name``, ``base`` and ``parts`` of its corpus item, and its facts."""
+    """One graph, its corpus ``name``, the ``base`` and ``parts`` of a corona, and its facts."""
 
     graph: Graph
     name: str | None = None

@@ -7,11 +7,13 @@ at singletons, whose predecessor is the empty set; the empty set therefore
 counts as an implicit member during the accessibility check.
 
 For very well-covered graphs the family of local maximum stable sets is a
-greedoid exactly when the graph has a unique perfect matching, which gives
-the fast decision route; the brute-force route checks the axioms on the
-enumerated family and works on every graph.  A negative brute-force
-verdict carries the failing axiom's witness; a positive one carries no
-certificate, since the axioms hold on the whole family.
+greedoid exactly when the graph has a unique perfect matching.
+``psi_is_greedoid`` makes one decision: by that criterion (the "fast"
+route) on very well-covered graphs, and by the axioms on the enumerated
+family (the "bruteforce" route) on every other graph.  A negative
+brute-force verdict carries the failing axiom's witness; a positive one
+carries no certificate, since the axioms hold on the whole family.  The
+brute-force verdict on any graph is ``is_greedoid(psi_enumerate(g))``.
 
 The axiom checks take a ``SetSystem``.  It lives in ``stability``, where
 every family the package builds is made as its subclass
@@ -146,7 +148,7 @@ class GreedoidVerdict:
     """Decision plus certificate for the local-maximum-stable-set family."""
 
     holds: bool
-    mode: str  # "fast" or "bruteforce"
+    mode: str  # the route that decided: "fast" or "bruteforce"
     unique_matching: Matching | None = None
     inaccessible_member: VertexSet | None = None
     exchange_violation: tuple[VertexSet, VertexSet] | None = None
@@ -156,27 +158,19 @@ class GreedoidVerdict:
         return self.holds
 
 
-def psi_is_greedoid(g: Graph, mode: str = "auto") -> GreedoidVerdict:
+def psi_is_greedoid(g: Graph) -> GreedoidVerdict:
     """Decide whether the family of local maximum stable sets is a greedoid.
 
-    ``bruteforce`` checks both axioms on the enumerated family and works on
-    any graph.  ``fast`` applies only to very well-covered graphs and
-    decides via the unique-perfect-matching criterion: it reads the pair
-    (first perfect matching, first alternating cycle) of the one search
-    that ``has_unique_perfect_matching`` also reads.  ``auto`` picks
-    ``fast`` when the graph is very well-covered.  A fast verdict carries
-    the unique perfect matching or an alternating cycle (none when there is
-    no perfect matching); a negative brute-force verdict carries an
+    On a very well-covered graph the decision is the unique-perfect-matching
+    criterion (mode ``fast``): it reads the pair (first perfect matching,
+    first alternating cycle) of the one search that
+    ``has_unique_perfect_matching`` also reads, and carries the unique
+    perfect matching or an alternating cycle (none when there is no perfect
+    matching).  On any other graph both axioms are checked on the
+    enumerated family (mode ``bruteforce``); a negative verdict carries an
     inaccessible member or an exchange-violating pair.
     """
-    if mode not in ("auto", "fast", "bruteforce"):
-        raise UsageError(f"unknown mode {mode!r}")
-    if mode == "fast" and not is_very_well_covered(g):
-        raise UsageError("fast mode needs a very well-covered graph")
-    if mode == "auto":
-        mode = "fast" if is_very_well_covered(g) else "bruteforce"
-
-    if mode == "fast":
+    if is_very_well_covered(g):
         pm, cyc = _perfect_matching_and_cycle(g)
         if pm is None:
             return GreedoidVerdict(False, "fast")

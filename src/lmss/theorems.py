@@ -6,13 +6,13 @@ Wherever a statement equates two notions, the rule derives both sides
 through independent code paths (enumeration vs. search, counting vs.
 axioms) rather than trusting one implementation twice.
 
-A rule receives the item's ``Facts`` and reads from it the facts that
-other rules also read: alpha, mu, the Koenig-Egervary verdict, the
-stable-set walk, psi and its axioms, omega, the maximum matchings, (very)
-well-coveredness, the number of perfect matchings, and the
-perfect-matching counts of saturated masks behind the definitional
-uniquely-restricted test (th9, th22, equiv7).  That count shares no code with the alternating-cycle
-search it is compared with.
+A corpus item is a ``Facts``; a rule reads from it the facts that the
+corpus filter and other rules also read: alpha, mu, the Koenig-Egervary
+verdict, the stable-set walk, psi and its axioms, omega, the maximum
+matchings, (very) well-coveredness, the number of perfect matchings, and
+the perfect-matching counts of saturated masks behind the definitional
+uniquely-restricted test (th9, th22, equiv7).  That count shares no code
+with the alternating-cycle search it is compared with.
 
 th9 reads the matching walk itself: for every matching it runs both
 routes on the walk's masks, the alternating-cycle walk on the mate array
@@ -20,7 +20,9 @@ and the count on the saturated mask, and builds a ``Matching`` only to
 describe a violation.  The walk is a DFS, so each matching's parent (it
 minus its newest edge) is the latest matching one edge smaller; when the
 parent is cycle-free, the cycle walk starts at the newest edge alone.
-th4 reads alpha(G - uv) on a mask of G, through one memo per graph.
+th4 reads alpha(G - uv) on a mask of G, through one memo per graph, and
+finds mu(G - uv) < mu(G) exactly for the edges common to every maximum
+matching.  lem1 reads the perfect matchings among the maximum ones.
 """
 
 from __future__ import annotations
@@ -28,20 +30,18 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .graphs import Graph, UsageError, VertexSet, bits, serialize
-from .stability import _alpha_on, _chain_grows, _psi_member_counting
+from .graphs import UsageError, VertexSet, bits, serialize
+from .stability import _alpha_on, _chain_grows, _psi_member_counting, psi_enumerate
 from .matching import (
     Matching,
     _cycle_free,
     _matching_walk,
     _matchings,
     _pm_edge_cycle_exclusion,
-    enumerate_perfect_matchings,
     find_alternating_c4,
     has_unique_perfect_matching,
     check_property_p,
     is_uniquely_restricted,
-    mu,
 )
 from .classifiers import (
     _psi_neighborhoods_are_ke,
@@ -52,7 +52,7 @@ from .classifiers import (
 )
 from .corpus import CorpusSpec, iter_corpus
 from .facts import Facts
-from .greedoid import psi_is_greedoid
+from .greedoid import is_greedoid
 
 
 @dataclass(frozen=True)
@@ -109,20 +109,15 @@ def _check_th4(item: Facts) -> list[Violation]:
                 out.append(
                     _violation("th4", item, f"maximum matching {m!r} not inside the cut of {s:#x}")
                 )
-    a0, m0 = item.alpha, item.mu
+    a0 = item.alpha
+    # mu(G - uv) < mu(G) exactly when uv lies in every maximum matching
+    in_every = set.intersection(*(set(m.edges) for m in item.maximum_matchings))
     bip = is_bipartite(g)
     memo: dict[int, int] = {}
     for u, v in g.edges():
         # a stable set of G - uv beating alpha(G) is {u, v} plus one outside N[u] | N[v]
         alpha_critical = 2 + _alpha_on(g, g.full_mask & ~(g.adj[u] | g.adj[v]), memo) > a0
-        reduced = Graph(
-            g.n,
-            tuple(
-                row & ~(1 << v) if w == u else row & ~(1 << u) if w == v else row
-                for w, row in enumerate(g.adj)
-            ),
-        )
-        mu_critical = mu(reduced) < m0
+        mu_critical = (u, v) in in_every
         if alpha_critical and not mu_critical:
             out.append(_violation("th4", item, f"edge ({u},{v}) alpha-critical but not mu-critical"))
         if bip and mu_critical and not alpha_critical:
@@ -177,7 +172,7 @@ def _check_th10iv(item: Facts) -> list[Violation]:
     if item.base is None:
         raise UsageError("th10iv needs a corona corpus")
     whole = item.greedoid
-    parts = all(psi_is_greedoid(h, mode="bruteforce").holds for h in item.parts)
+    parts = all(is_greedoid(psi_enumerate(h)) for h in item.parts)
     if whole != parts:
         return [_violation("th10iv", item, f"corona verdict {whole}, attached-part verdict {parts}")]
     return []
@@ -233,7 +228,10 @@ def _check_lem1(item: Facts) -> list[Violation]:
     if not item.very_well_covered:
         return []
     out = []
-    for m in enumerate_perfect_matchings(item.graph):
+    # the maximum matchings are all perfect or, with no perfect matching, none is
+    for m in item.maximum_matchings:
+        if not m.is_perfect():
+            break
         ok, cyc = _pm_edge_cycle_exclusion(item.graph, m)
         if not ok:
             out.append(
@@ -428,10 +426,9 @@ def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
     rules = [RULES[name] for name in rule_names]
     found: list[list[Violation]] = [[] for _ in rules]
     checked = 0
-    for it in iter_corpus(spec):
-        facts = Facts(it.graph, it.name, it.base, it.parts)
+    for item in iter_corpus(spec):
         for rule, out in zip(rules, found):
-            out.extend(rule.check(facts))
+            out.extend(rule.check(item))
         checked += 1
     if not checked:
         raise UsageError("the corpus is empty: no graph to check")

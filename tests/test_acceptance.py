@@ -17,8 +17,10 @@ from lmss import (
     find_alternating_c4,
     find_alternating_cycle,
     has_unique_perfect_matching,
+    is_greedoid,
     is_uniquely_restricted,
     is_well_covered,
+    psi_enumerate,
     psi_is_greedoid,
     psi_member_oracle,
     psi_neighborhoods_are_ke,
@@ -193,9 +195,7 @@ def test_criterion_6_corona_suites():
 
 def test_criterion_7_forest_and_bipartite_suites():
     trees = [t for n in range(1, 10) for t in nonisomorphic_trees(n)]
-    tree_bad = [
-        t for t in trees if not psi_is_greedoid(t, mode="bruteforce").holds
-    ]
+    tree_bad = [t for t in trees if not is_greedoid(psi_enumerate(t))]
     spec = CorpusSpec(source="exhaustive", max_n=7, filter="bipartite")
     summary = verify(spec, ["th22"])
     ok = not tree_bad and summary.passed and len(trees) == 95

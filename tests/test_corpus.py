@@ -158,6 +158,21 @@ def test_corona_family_max_total_prunes():
     assert 0 < len(pruned) < len(full)
 
 
+def test_corona_family_builds_no_graph_it_cannot_use(patch_lmss):
+    # a base of x vertices takes x parts, so with max_total = 6 no corona
+    # uses a base of more than 3 vertices
+    def capped(n):
+        assert n <= 3, f"built the graphs on {n} vertices"
+        return nonisomorphic_graphs(n)
+
+    patch_lmss(nonisomorphic_graphs, capped)
+    items = list(corona_family(9, 1, 6))
+    assert [it.graph.n for it in items] == [2] + [4] * 2 + [6] * 4
+    assert [it.name for it in items] == [f"corona_{i:04d}" for i in range(7)]
+    # a spec above the cap that clamps below it is valid
+    assert CorpusSpec(source="coronas", max_x=10, max_h=10, max_total=10).max_h == 10
+
+
 def test_corpus_spec_validation():
     with pytest.raises(UsageError):
         CorpusSpec(source="nope")
@@ -187,6 +202,8 @@ def test_corpus_spec_validation():
         (dict(source="coronas", max_total=0), "max_total"),
         # a corona bound past the vertex cap fails here, before any corona is built
         (dict(source="coronas", max_total=17), "max_total"),
+        # parts of 10 vertices fit a total of 16 but pass the exhaustive cap
+        (dict(source="coronas", max_h=10, max_total=16), "max_h"),
         (dict(source="random", count=5, n=0, edge_probability=0.5, seed=1), "n"),
     ):
         with pytest.raises(UsageError, match=field):
@@ -226,7 +243,8 @@ def test_iter_corpus_sources_and_filters():
     draws = dict(source="random", count=30, n=7, edge_probability=0.25, seed=1)
     every = list(iter_corpus(CorpusSpec(**draws)))
     connected = list(iter_corpus(CorpusSpec(**draws, filter="connected")))
-    assert connected == [it for it in every if is_connected(it.graph)]
+    pairs = [(it.name, it.graph) for it in connected]
+    assert pairs == [(it.name, it.graph) for it in every if is_connected(it.graph)]
     assert 0 < len(connected) < len(every)
 
     # connected forests are trees

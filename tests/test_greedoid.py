@@ -77,10 +77,11 @@ def test_accessibility_implies_greedoid(connected_upto_6):
 
 def test_psi_is_greedoid_modes_and_certificates():
     f8 = fixture("fig8_G1")
-    v = psi_is_greedoid(f8, mode="auto")
+    v = psi_is_greedoid(f8)
     assert v.holds and v.mode == "fast"
     assert v.unique_matching == has_unique_perfect_matching(f8)[1]
-    v = psi_is_greedoid(f8, mode="bruteforce")
+    assert is_greedoid(psi_enumerate(f8))  # the brute-force verdict agrees
+    v = psi_is_greedoid(path(3))  # a forest, not very well-covered
     assert v.holds and v.mode == "bruteforce"
     assert v.unique_matching is None  # positive brute-force verdicts carry no certificate
 
@@ -101,17 +102,13 @@ def test_psi_is_greedoid_modes_and_certificates():
         psi_member_oracle(f10, VertexSet(f10, s.bits ^ (1 << x))) for x in s.vertices()
     )
 
-    with pytest.raises(UsageError):
-        psi_is_greedoid(f10, mode="fast")  # not very well-covered
-    with pytest.raises(UsageError):
-        psi_is_greedoid(f10, mode="nope")
-
 
 def test_fast_equals_bruteforce_on_vwc_fixtures():
     for name in ("fig3_G", "fig6_G1", "fig7_G1", "fig7_G2", "fig7_G3",
                   "fig8_G1", "fig8_G2", "fig8_G3"):
         g = fixture(name)
-        assert psi_is_greedoid(g, "fast").holds == psi_is_greedoid(g, "bruteforce").holds
+        v = psi_is_greedoid(g)
+        assert v.mode == "fast" and v.holds == is_greedoid(psi_enumerate(g))
 
 
 def test_accessibility_chain():

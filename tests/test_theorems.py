@@ -84,12 +84,6 @@ def test_verify_validates_every_rule_before_running_any(monkeypatch):
 
 
 def test_verify_computes_well_covered_once_per_item(patch_lmss):
-    # th8 and th3 ask very-well-coveredness, which asks well-coveredness on
-    # the 143 of these 177 graphs with |V| = 2 alpha; th88iii asks both on
-    # every item, as none has an isolated vertex; 18 graphs are very
-    # well-covered, so th3 reads on past the question
-    spec = CorpusSpec(source="random", count=300, n=6, edge_probability=0.4, seed=1,
-                      filter="connected")
     calls = []
 
     def counting(g, a, walk):
@@ -97,8 +91,22 @@ def test_verify_computes_well_covered_once_per_item(patch_lmss):
         return _well_covered(g, a, walk)
 
     patch_lmss(_well_covered, counting)
+    # th8 and th3 ask very-well-coveredness, which asks well-coveredness on
+    # the 143 of these 177 graphs with |V| = 2 alpha; th88iii asks both on
+    # every item, as none has an isolated vertex; 18 graphs are very
+    # well-covered, so th3 reads on past the question
+    spec = CorpusSpec(source="random", count=300, n=6, edge_probability=0.4, seed=1,
+                      filter="connected")
     assert verify(spec, ["th8", "th3", "th88iii"]).passed
     assert calls == [item.graph for item in iter_corpus(spec)]
+    # the filter asks very-well-coveredness of every graph, and the rules
+    # read its verdict on the 28 survivors; the catalogue's graphs are
+    # pairwise distinct, so each is asked once
+    calls.clear()
+    vwc = CorpusSpec(source="exhaustive", max_n=8, filter="vwc")
+    summary = verify(vwc, ["th8", "th3", "th88iii"])
+    assert summary.passed and summary.reports[0].checked == 28
+    assert len(calls) == len(set(calls))
 
 
 def test_lem3_and_lem65_report_a_shortcut_that_disagrees_with_psi(patch_lmss):
@@ -150,15 +158,21 @@ def test_th4_checker_on_ke_graphs(connected_upto_6):
 def test_th4_alpha_of_an_edge_deleted_graph_reads_a_mask_of_the_graph():
     # a stable set of G - uv larger than any of G's is {u, v} plus a stable
     # set outside N[u] | N[v], so alpha(G - uv) is the larger of alpha(G)
-    # and 2 + alpha on that mask of G
+    # and 2 + alpha on that mask of G.  On the mu side, mu(G - uv) < mu(G)
+    # exactly when uv lies in every maximum matching of G
     for g in (g for n in range(2, 8) for g in connected_graphs(n)):
         edges = oracles.edges_of(g)
-        a = oracles.alpha(g.n, edges)
+        a, m = oracles.alpha(g.n, edges), oracles.mu(g.n, edges)
         memo = {}
+        mu_critical = set()
         for u, v in edges:
             both = 2 + _alpha_on(g, g.full_mask & ~(g.adj[u] | g.adj[v]), memo)
             reduced = [e for e in edges if e != (u, v)]
             assert max(a, both) == oracles.alpha(g.n, reduced), (serialize(g), u, v)
+            if oracles.mu(g.n, reduced) < m:
+                mu_critical.add((u, v))
+        common = set.intersection(*(set(mm.edges) for mm in Facts(g).maximum_matchings))
+        assert common == mu_critical, serialize(g)
 
 
 @pytest.mark.slow
