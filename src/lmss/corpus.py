@@ -73,7 +73,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from inspect import Parameter, signature
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 from math import factorial
 from typing import NamedTuple
 
@@ -377,16 +377,26 @@ def corona_family(max_x: int = 3, max_h: int = 3, max_total: int = 12) -> Iterat
     graph_keys(top_h)  # past the cap this raises at once
     bases = [g for n in range(1, top_x + 1) for g in nonisomorphic_graphs(n)]
     parts = [g for n in range(1, top_h + 1) for g in nonisomorphic_graphs(n)]
-    shapes = (
-        (x, hs)
-        for x in bases
-        for hs in product(parts, repeat=x.n)
-        if x.n + sum(h.n for h in hs) <= max_total
-    )
+    shapes = ((x, hs) for x in bases for hs in _part_tuples(parts, x.n, max_total - x.n))
     return (
         Facts(corona(x, hs), f"corona_{i:04d}", base=x, parts=hs)
         for i, (x, hs) in enumerate(shapes)
     )
+
+
+def _part_tuples(parts: list[Graph], slots: int, budget: int) -> Iterator[tuple[Graph, ...]]:
+    """The tuples of ``product(parts, repeat=slots)`` whose sizes total at
+    most ``budget``, in the product's order, walked depth first.  Parts
+    ascend in size, so a slot stops at the first part that leaves fewer
+    vertices than the slots after it need."""
+    if not slots:
+        yield ()
+        return
+    for h in parts:
+        if budget - h.n < slots - 1:
+            break
+        for rest in _part_tuples(parts, slots - 1, budget - h.n):
+            yield (h, *rest)
 
 
 def _exhaustive(max_n: int) -> Iterator[Facts]:

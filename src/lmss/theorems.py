@@ -1,7 +1,8 @@
 """Verification rules: exact statements checked over generated corpora.
 
 Each rule inspects one corpus item, applies only where its hypothesis
-holds, and reports violations with enough context to reproduce them.
+holds, and returns one detail string per violation; ``verify`` alone
+names the rule and the item and adds the item's edge list to reproduce it.
 Wherever a statement equates two notions, the rule derives both sides
 through independent code paths (enumeration vs. search, counting vs.
 axioms) rather than trusting one implementation twice.
@@ -63,41 +64,37 @@ class Violation:
     edge_list: str
 
 
-def _violation(rule: str, item: Facts, detail: str) -> Violation:
-    return Violation(rule, item.name, detail, serialize(item.graph))
-
-
 # ------------------------------------------------------------------ rules
 
 
-def _check_th1(item: Facts) -> list[Violation]:
+def _check_th1(item: Facts) -> list[str]:
     g = item.graph
     omega = item.omega.members
     return [
-        _violation("th1", item, f"{VertexSet(g, s)!r} extends to no maximum stable set")
+        f"{VertexSet(g, s)!r} extends to no maximum stable set"
         for s in item.psi.members
         if all(s & ~m for m in omega)
     ]
 
 
-def _check_th2(item: Facts) -> list[Violation]:
+def _check_th2(item: Facts) -> list[str]:
     if not is_forest(item.graph):
         return []
     if not item.greedoid:
-        return [_violation("th2", item, "forest whose family fails the axioms")]
+        return ["forest whose family fails the axioms"]
     return []
 
 
-def _check_th3(item: Facts) -> list[Violation]:
+def _check_th3(item: Facts) -> list[str]:
     if not item.very_well_covered:
         return []
     ok, witness = _psi_neighborhoods_are_ke(item.graph, item.psi)
     if not ok:
-        return [_violation("th3", item, f"N[{witness!r}] induces a non-Koenig-Egervary graph")]
+        return [f"N[{witness!r}] induces a non-Koenig-Egervary graph"]
     return []
 
 
-def _check_th4(item: Facts) -> list[Violation]:
+def _check_th4(item: Facts) -> list[str]:
     g = item.graph
     if not item.koenig_egervary:
         return []
@@ -106,9 +103,7 @@ def _check_th4(item: Facts) -> list[Violation]:
         for s in item.omega.members:
             crossing = all((s >> u & 1) != (s >> v & 1) for u, v in m.edges)
             if not crossing:
-                out.append(
-                    _violation("th4", item, f"maximum matching {m!r} not inside the cut of {s:#x}")
-                )
+                out.append(f"maximum matching {m!r} not inside the cut of {s:#x}")
     a0 = item.alpha
     # mu(G - uv) < mu(G) exactly when uv lies in every maximum matching
     in_every = set.intersection(*(set(m.edges) for m in item.maximum_matchings))
@@ -119,19 +114,19 @@ def _check_th4(item: Facts) -> list[Violation]:
         alpha_critical = 2 + _alpha_on(g, g.full_mask & ~(g.adj[u] | g.adj[v]), memo) > a0
         mu_critical = (u, v) in in_every
         if alpha_critical and not mu_critical:
-            out.append(_violation("th4", item, f"edge ({u},{v}) alpha-critical but not mu-critical"))
+            out.append(f"edge ({u},{v}) alpha-critical but not mu-critical")
         if bip and mu_critical and not alpha_critical:
-            out.append(_violation("th4", item, f"bipartite edge ({u},{v}) mu-critical but not alpha-critical"))
+            out.append(f"bipartite edge ({u},{v}) mu-critical but not alpha-critical")
     return out
 
 
-def _check_th7(item: Facts) -> list[Violation]:
+def _check_th7(item: Facts) -> list[str]:
     if item.accessibility[0] and not item.exchange[0]:
-        return [_violation("th7", item, "family is accessible but fails exchange")]
+        return ["family is accessible but fails exchange"]
     return []
 
 
-def _check_th8(item: Facts) -> list[Violation]:
+def _check_th8(item: Facts) -> list[str]:
     g = item.graph
     if not item.very_well_covered:
         return []
@@ -139,15 +134,13 @@ def _check_th8(item: Facts) -> list[Violation]:
     brute = item.greedoid
     unique = has_unique_perfect_matching(g)[0]
     if brute != unique:
-        out.append(
-            _violation("th8", item, f"axioms say {brute}, unique-perfect-matching says {unique}")
-        )
+        out.append(f"axioms say {brute}, unique-perfect-matching says {unique}")
     if unique != (item.perfect_matching_count == 1):
-        out.append(_violation("th8", item, "unique-matching witness disagrees with enumeration"))
+        out.append("unique-matching witness disagrees with enumeration")
     return out
 
 
-def _check_th9(item: Facts) -> list[Violation]:
+def _check_th9(item: Facts) -> list[str]:
     """Both routes on every matching M.  The cycle route seeds M's newest edge ab alone
     when P = M - ab is cycle-free, which is exact: a cycle missing a and b alternates for
     P too, and one through a or b uses its matched edge ab.  Otherwise it seeds all of M."""
@@ -162,23 +155,21 @@ def _check_th9(item: Facts) -> list[Violation]:
         by_count = item.unique_pm_on(saturated)
         if by_cycle != by_count:
             m = Matching(g, pairs)
-            out.append(
-                _violation("th9", item, f"{m!r}: alternating-cycle route {by_cycle}, enumeration {by_count}")
-            )
+            out.append(f"{m!r}: alternating-cycle route {by_cycle}, enumeration {by_count}")
     return out
 
 
-def _check_th10iv(item: Facts) -> list[Violation]:
+def _check_th10iv(item: Facts) -> list[str]:
     if item.base is None:
         raise UsageError("th10iv needs a corona corpus")
     whole = item.greedoid
     parts = all(is_greedoid(psi_enumerate(h)) for h in item.parts)
     if whole != parts:
-        return [_violation("th10iv", item, f"corona verdict {whole}, attached-part verdict {parts}")]
+        return [f"corona verdict {whole}, attached-part verdict {parts}"]
     return []
 
 
-def _check_th11(item: Facts) -> list[Violation]:
+def _check_th11(item: Facts) -> list[str]:
     g = item.graph
     if has_isolated_vertices(g):
         return []
@@ -190,41 +181,41 @@ def _check_th11(item: Facts) -> list[Violation]:
             break
     lhs = item.very_well_covered
     if lhs != rhs:
-        return [_violation("th11", item, f"very-well-covered {lhs}, perfect-matching property {rhs}")]
+        return [f"very-well-covered {lhs}, perfect-matching property {rhs}"]
     return []
 
 
-def _check_th22(item: Facts) -> list[Violation]:
+def _check_th22(item: Facts) -> list[str]:
     if not is_bipartite(item.graph):
         return []
     lhs = item.greedoid
     rhs = all(item.unique_pm_on(m.saturated_bits) for m in item.maximum_matchings)
     if lhs != rhs:
-        return [_violation("th22", item, f"greedoid {lhs}, all-maximum-matchings-restricted {rhs}")]
+        return [f"greedoid {lhs}, all-maximum-matchings-restricted {rhs}"]
     return []
 
 
-def _check_th88iii(item: Facts) -> list[Violation]:
+def _check_th88iii(item: Facts) -> list[str]:
     if has_isolated_vertices(item.graph):
         return []
     lhs = item.very_well_covered
     rhs = item.well_covered and item.koenig_egervary
     if lhs != rhs:
-        return [_violation("th88iii", item, f"very-well-covered {lhs}, well-covered+KE {rhs}")]
+        return [f"very-well-covered {lhs}, well-covered+KE {rhs}"]
     return []
 
 
-def _check_th88iv(item: Facts) -> list[Violation]:
+def _check_th88iv(item: Facts) -> list[str]:
     if item.base is None:
         raise UsageError("th88iv needs a corona corpus")
     lhs = item.well_covered
     rhs = all(2 * h.edge_count == h.n * (h.n - 1) for h in item.parts)
     if lhs != rhs:
-        return [_violation("th88iv", item, f"well-covered {lhs}, all-parts-complete {rhs}")]
+        return [f"well-covered {lhs}, all-parts-complete {rhs}"]
     return []
 
 
-def _check_lem1(item: Facts) -> list[Violation]:
+def _check_lem1(item: Facts) -> list[str]:
     if not item.very_well_covered:
         return []
     out = []
@@ -234,13 +225,11 @@ def _check_lem1(item: Facts) -> list[Violation]:
             break
         ok, cyc = _pm_edge_cycle_exclusion(item.graph, m)
         if not ok:
-            out.append(
-                _violation("lem1", item, f"matched edge on a chordless cycle {cyc} under {m!r}")
-            )
+            out.append(f"matched edge on a chordless cycle {cyc} under {m!r}")
     return out
 
 
-def _check_lem2(item: Facts) -> list[Violation]:
+def _check_lem2(item: Facts) -> list[str]:
     g = item.graph
     if not item.very_well_covered:
         return []
@@ -249,13 +238,11 @@ def _check_lem2(item: Facts) -> list[Violation]:
         any_cycle = not is_uniquely_restricted(g, m)
         any_square = find_alternating_c4(g, m) is not None
         if any_cycle != any_square:
-            out.append(
-                _violation("lem2", item, f"{m!r}: alternating cycle {any_cycle}, chordless square {any_square}")
-            )
+            out.append(f"{m!r}: alternating cycle {any_cycle}, chordless square {any_square}")
     return out
 
 
-def _check_lem3(item: Facts) -> list[Violation]:
+def _check_lem3(item: Facts) -> list[str]:
     g = item.graph
     if not item.very_well_covered:
         return []
@@ -264,11 +251,11 @@ def _check_lem3(item: Facts) -> list[Violation]:
     for mask, _ in item.stable_sets:
         if _psi_member_counting(g, mask) != (mask in psi):
             s = VertexSet(g, mask)
-            out.append(_violation("lem3", item, f"counting and oracle membership split on {s!r}"))
+            out.append(f"counting and oracle membership split on {s!r}")
     return out
 
 
-def _check_lem65(item: Facts) -> list[Violation]:
+def _check_lem65(item: Facts) -> list[str]:
     g = item.graph
     if not item.very_well_covered:
         return []
@@ -280,13 +267,11 @@ def _check_lem65(item: Facts) -> list[Violation]:
                 continue
             amask = bmask | 1 << v
             if _chain_grows(g, bmask, amask) != (amask in psi):
-                out.append(
-                    _violation("lem65", item, f"growth test and oracle split on {bmask:#x}+{v}")
-                )
+                out.append(f"growth test and oracle split on {bmask:#x}+{v}")
     return out
 
 
-def _check_equiv7(item: Facts) -> list[Violation]:
+def _check_equiv7(item: Facts) -> list[str]:
     g = item.graph
     if not item.very_well_covered:
         return []
@@ -304,18 +289,18 @@ def _check_equiv7(item: Facts) -> list[Violation]:
         "all_restricted": all(restricted),
     }
     if len(set(preds.values())) > 1:
-        return [_violation("equiv7", item, f"the seven equivalents split: {preds}")]
+        return [f"the seven equivalents split: {preds}"]
     return []
 
 
-def _check_c4free_corollary(item: Facts) -> list[Violation]:
+def _check_c4free_corollary(item: Facts) -> list[str]:
     if not (item.very_well_covered and is_c4_free(item.graph)):
         return []
     out = []
     if item.perfect_matching_count != 1:
-        out.append(_violation("c4free-corollary", item, "no unique perfect matching"))
+        out.append("no unique perfect matching")
     if not item.greedoid:
-        out.append(_violation("c4free-corollary", item, "family is not a greedoid"))
+        out.append("family is not a greedoid")
     return out
 
 
@@ -324,7 +309,7 @@ class Rule:
     name: str
     describe: str
     needs_corona: bool
-    check: Callable[[Facts], list[Violation]]
+    check: Callable[[Facts], list[str]]
 
 
 RULES: dict[str, Rule] = {
@@ -428,7 +413,8 @@ def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
     checked = 0
     for item in iter_corpus(spec):
         for rule, out in zip(rules, found):
-            out.extend(rule.check(item))
+            for detail in rule.check(item):
+                out.append(Violation(rule.name, item.name, detail, serialize(item.graph)))
         checked += 1
     if not checked:
         raise UsageError("the corpus is empty: no graph to check")

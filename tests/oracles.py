@@ -187,6 +187,31 @@ def has_chordless_square(n, edges):
     )
 
 
+def induces_cycle(adj, s):
+    """G[s] is a cycle: at least 3 vertices, each with two neighbours in s, all connected."""
+    if len(s) < 3 or any(len(adj[v] & s) != 2 for v in s):
+        return False
+    seen, stack = set(), [min(s)]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(adj[v] & s)
+    return seen == s
+
+
+def on_chordless_cycle_not_square(n, edges, x, y):
+    """Some vertex set holding x and y, of 3 or of at least 5 vertices, induces a cycle."""
+    adj = adj_sets(n, edges)
+    others = [v for v in range(n) if v not in (x, y)]
+    return any(
+        induces_cycle(adj, {x, y, *extra})
+        for k in range(1, len(others) + 1)
+        if k != 2
+        for extra in combinations(others, k)
+    )
+
+
 def is_uniquely_restricted(n, edges, matching):
     """Straight from the definition: the only perfect matching on its vertices."""
     sat = {v for e in matching for v in e}

@@ -2,9 +2,11 @@ import gc
 import hashlib
 import json
 import random
+import subprocess
+import sys
 import time
 import weakref
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +18,7 @@ from lmss import (
     canonical_key,
     complete,
     connected_graphs,
+    corona,
     corona_family,
     cycle,
     is_connected,
@@ -171,6 +174,33 @@ def test_corona_family_builds_no_graph_it_cannot_use(patch_lmss):
     assert [it.name for it in items] == [f"corona_{i:04d}" for i in range(7)]
     # a spec above the cap that clamps below it is valid
     assert CorpusSpec(source="coronas", max_x=10, max_h=10, max_total=10).max_h == 10
+
+
+@pytest.mark.parametrize("max_x, max_h, max_total", [
+    (1, 1, 2), (2, 3, 9), (3, 2, 7), (3, 3, 12), (4, 3, 10), (2, 5, 8),
+])
+def test_corona_family_walks_the_fitting_part_tuples_in_product_order(max_x, max_h, max_total):
+    # the reference walks every tuple of parts and then drops those that do not fit
+    top_x, top_h = min(max_x, max_total // 2), min(max_h, max_total - 1)
+    bases = [g for n in range(1, top_x + 1) for g in nonisomorphic_graphs(n)]
+    parts = [g for n in range(1, top_h + 1) for g in nonisomorphic_graphs(n)]
+    shapes = [
+        (x, hs) for x in bases for hs in product(parts, repeat=x.n)
+        if x.n + sum(h.n for h in hs) <= max_total
+    ]
+    items = list(corona_family(max_x, max_h, max_total))
+    assert [(it.base, it.parts) for it in items] == shapes
+    assert [it.name for it in items] == [f"corona_{i:04d}" for i in range(len(shapes))]
+    assert [it.graph for it in items] == [corona(x, hs) for x, hs in shapes]
+
+
+def test_corona_family_with_large_parts_and_a_small_total_ends_in_seconds():
+    # parts of up to 7 vertices make 1,252 candidates a slot, so the full
+    # product over a base of 4 vertices has 2.5e12 tuples; 1,753 coronas fit
+    script = "from lmss import corona_family; print(sum(1 for _ in corona_family(4, 7, 8)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "1753\n"), proc.stderr
 
 
 def test_corpus_spec_validation():

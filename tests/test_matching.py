@@ -22,10 +22,12 @@ from lmss import (
     mu,
     path,
     pm_edge_cycle_exclusion,
+    random_graphs,
+    serialize,
 )
 from lmss.fixtures import fixture, fixture_names, named_edges
 from lmss.graphs import induced_subgraph
-from lmss.matching import _count_perfect_matchings_on, _matching_walk
+from lmss.matching import _count_perfect_matchings_on, _matching_walk, _pm_edge_cycle_exclusion
 
 
 def matching_by_names(name, *pairs):
@@ -295,3 +297,33 @@ def test_pm_edge_cycle_exclusion():
 
     with pytest.raises(UsageError):
         pm_edge_cycle_exclusion(fixture("fig10_G"), has_unique_perfect_matching(fixture("fig10_G"))[1])
+
+
+def _exclusion_agrees_with_oracle(g, m):
+    """Lemma 1's search on one perfect matching against the subset oracle; a
+    returned cycle runs through the first matched edge the oracle flags, is
+    chordless and is not a square.  Returns the cycle's length, or 0."""
+    edges = oracles.edges_of(g)
+    ok, cyc = _pm_edge_cycle_exclusion(g, m)
+    flagged = [e for e in m.edges if oracles.on_chordless_cycle_not_square(g.n, edges, *e)]
+    assert ok == (not flagged) and (cyc is None) == ok, (serialize(g), m)
+    if ok:
+        return 0
+    adj = oracles.adj_sets(g.n, edges)
+    assert len(set(cyc)) == len(cyc) != 4 and oracles.induces_cycle(adj, set(cyc))
+    assert all(cyc[i - 1] in adj[cyc[i]] for i in range(len(cyc)))
+    assert any({cyc[i - 1], cyc[i]} == set(flagged[0]) for i in range(len(cyc)))
+    return len(cyc)
+
+
+def test_pm_edge_cycle_exclusion_search_agrees_with_the_subset_oracle(connected_upto_6):
+    # lemma 1 only ever sees very well-covered graphs, where it holds; on all
+    # graphs the search has cycles to find, triangles and longer ones
+    small = [_exclusion_agrees_with_oracle(g, m)
+             for g in connected_upto_6 for m in enumerate_perfect_matchings(g)]
+    sampled = [_exclusion_agrees_with_oracle(g, m)
+               for g in random_graphs(300, 8, 0.3, seed=7) for m in enumerate_perfect_matchings(g)]
+    for found in (small, sampled):
+        assert found.count(3) and any(k >= 5 for k in found) and found.count(0)
+    assert [(len(found), sum(map(bool, found))) for found in (small, sampled)] == [
+        (327, 300), (272, 251)]

@@ -24,3 +24,12 @@ def test_readme_quickstart_runs_and_shows_its_results():
             assert repr(value) == comment, ast.unparse(stmt)
             shown.append(comment)
     assert "True" in shown and "(True, 'fast')" in shown
+
+
+def test_readme_lists_every_verification_rule():
+    from lmss.theorems import RULES
+
+    text = README.read_text()
+    section = re.search(r"### Verification rules\n(.*?)\n##", text, re.S).group(1)
+    listed = re.findall(r"^- `([^`]+)`", section, re.M)
+    assert sorted(listed) == sorted(RULES) and len(set(listed)) == len(listed)

@@ -365,3 +365,25 @@ def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
     for _ in range(5):
         assert cli.main(argv) == 0
     assert built == []
+
+
+def test_cli_verify_prints_each_violation_and_exits_1(monkeypatch, capsys):
+    from lmss import theorems
+
+    th8 = theorems.RULES["th8"]
+    forced = theorems.Rule("th8", th8.describe, th8.needs_corona,
+                           lambda item: ["forced once", "forced twice"])
+    monkeypatch.setitem(theorems.RULES, "th8", forced)
+    argv = ["verify", "--theorem", "th7", "--theorem", "th8", "--source", "fixtures",
+            "--fixture", "fig8_G1"]
+    assert cli.main(argv) == 1
+    edges = "  " + serialize(fixture("fig8_G1")).replace("\n", " / ")
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'th7':18s} checked      1 graphs: ok",
+        f"{'th8':18s} checked      1 graphs: 2 violation(s)",
+        "  fig8_G1: forced once",
+        edges,
+        "  fig8_G1: forced twice",
+        edges,
+        "total violations: 2",
+    ]

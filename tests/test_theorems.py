@@ -1,9 +1,11 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from lmss import CorpusSpec, Matching, UsageError, corona, complete, cycle, fixture, verify
+from lmss import (CorpusSpec, Matching, UsageError, corona, complete, cycle, fixture,
+                  parse_edge_list, path, verify)
 from lmss.corpus import connected_graphs, iter_corpus
 from lmss.classifiers import _well_covered
 from lmss.facts import Facts
@@ -57,12 +59,16 @@ def test_violations_propagate_and_serialise(monkeypatch):
 
     broken = theorems.Rule(
         "th8", "broken on purpose", False,
-        lambda item: [theorems.Violation("th8", item.name, "forced", "1\n")],
+        lambda item: ["forced"],
     )
     monkeypatch.setitem(theorems.RULES, "th8", broken)
     spec = CorpusSpec(source="fixtures", fixtures=("fig8_G1",))
     summary = verify(spec, ["th8"])
     assert not summary.passed and summary.total_violations == 1
+    # verify names the rule and the item, and adds the item's edge list
+    assert summary.reports[0].violations == (
+        theorems.Violation("th8", "fig8_G1", "forced", serialize(fixture("fig8_G1"))),
+    )
     data = summary.to_dict()
     assert data["pass"] is False
     assert data["rules"][0]["violations"][0]["detail"] == "forced"
@@ -128,8 +134,7 @@ def test_multi_rule_reports_equal_single_rule_reports(monkeypatch):
     # a rule with violations pins their corpus order inside a multi-rule run
     odd = theorems.Rule(
         "odd", "flags graphs with an odd edge count", False,
-        lambda item: [theorems._violation("odd", item, "odd")]
-        if len(item.graph.edges()) % 2 else [],
+        lambda item: ["odd"] if len(item.graph.edges()) % 2 else [],
     )
     monkeypatch.setitem(theorems.RULES, "odd", odd)
     spec = CorpusSpec(source="exhaustive", max_n=5)
@@ -181,6 +186,16 @@ def test_th4_and_th9_hold_on_every_connected_graph_to_eight():
     summary = verify(CorpusSpec(source="exhaustive", max_n=8), ["th4", "th9"])
     assert summary.total_violations == 0
     assert [r.checked for r in summary.reports] == [12_113, 12_113]
+
+
+@pytest.mark.slow
+def test_corona_rules_hold_with_parts_of_up_to_five_vertices():
+    # past the default parts of at most 3 vertices: every corona of a base
+    # of at most 5 vertices, with parts of at most 5 and 12 vertices in all
+    spec = CorpusSpec(source="coronas", max_x=5, max_h=5, max_total=12)
+    summary = verify(spec, ["th10iv", "th88iv"])
+    assert summary.total_violations == 0
+    assert [r.checked for r in summary.reports] == [32_165, 32_165]
 
 
 def test_verify_all_names_every_rule_the_corpus_admits():
@@ -282,3 +297,87 @@ def test_th9_seeds_the_newest_edge_exactly_below_a_cycle_free_parent(patch_lmss)
         assert seeds == (m[-1:] if parent_free else m)
         newest_only += len(m) > 1 and parent_free
     assert newest_only
+
+
+K1, K2, K3 = complete(1), complete(2), complete(3)
+# a triangle 0 1 2 with a pendant 3 at 2; its one perfect matching is {01, 23}
+TRIANGLE_TAIL = parse_edge_list("4\n0 1\n0 2\n1 2\n2 3\n")
+
+# rule, graph (a corona rule's graph is K1 with K1 attached), facts seeded
+# into the item or a route of ``theorems`` rebound so that the rule's two
+# routes split, and the details the rule must return
+FORCED = [
+    ("th1", K2, {"omega": SimpleNamespace(members=[0b01])}, None,
+     ["{1} extends to no maximum stable set"]),
+    ("th2", path(3), {"greedoid": False}, None, ["forest whose family fails the axioms"]),
+    ("th3", K3, {"very_well_covered": True}, None,
+     ["N[{0}] induces a non-Koenig-Egervary graph"]),
+    ("th4", K3, {"koenig_egervary": True}, None,
+     ["maximum matching {01} not inside the cut of 0x4",
+      "maximum matching {02} not inside the cut of 0x2",
+      "maximum matching {12} not inside the cut of 0x1",
+      "edge (0,1) alpha-critical but not mu-critical",
+      "edge (0,2) alpha-critical but not mu-critical",
+      "edge (1,2) alpha-critical but not mu-critical"]),
+    ("th4", path(3), {"maximum_matchings": Facts(path(3)).maximum_matchings[:1]}, None,
+     ["bipartite edge (0,1) mu-critical but not alpha-critical"]),
+    ("th7", K2, {"accessibility": (True, None), "exchange": (False, (0b01, 0b10))}, None,
+     ["family is accessible but fails exchange"]),
+    ("th8", K2, {"greedoid": False}, None,
+     ["axioms say False, unique-perfect-matching says True"]),
+    ("th8", K2, {"perfect_matching_count": 2}, None,
+     ["unique-matching witness disagrees with enumeration"]),
+    ("th9", K2, {"_pm_counts": {0b11: 2}}, None,
+     ["{01}: alternating-cycle route True, enumeration False"]),
+    ("th10iv", K2, {"greedoid": False}, None,
+     ["corona verdict False, attached-part verdict True"]),
+    ("th11", K2, {"very_well_covered": False}, None,
+     ["very-well-covered False, perfect-matching property True"]),
+    ("th22", K2, {"greedoid": False}, None,
+     ["greedoid False, all-maximum-matchings-restricted True"]),
+    ("th88iii", K2, {"very_well_covered": False}, None,
+     ["very-well-covered False, well-covered+KE True"]),
+    ("th88iv", K2, {"well_covered": False}, None,
+     ["well-covered False, all-parts-complete True"]),
+    ("lem1", TRIANGLE_TAIL, {"very_well_covered": True}, None,
+     ["matched edge on a chordless cycle [0, 1, 2] under {01,23}"]),
+    ("lem2", K2, {}, ("find_alternating_c4", lambda g, m: (0, 1, 0, 1)),
+     ["{01}: alternating cycle False, chordless square True"]),
+    ("lem3", K2, {"psi": SimpleNamespace(members=[0, 0b01])}, None,
+     ["counting and oracle membership split on {1}"]),
+    ("lem65", K2, {"psi": SimpleNamespace(members=[0, 0b01])}, None,
+     ["growth test and oracle split on 0x0+1"]),
+    ("equiv7", K2, {"greedoid": False}, None,
+     ["the seven equivalents split: {'greedoid': False, 'some_restricted': True, "
+      "'some_cycle_free': True, 'some_square_free': True, 'all_cycle_free': True, "
+      "'all_square_free': True, 'all_restricted': True}"]),
+    ("c4free-corollary", K2, {"perfect_matching_count": 2, "greedoid": False}, None,
+     ["no unique perfect matching", "family is not a greedoid"]),
+]
+
+
+def test_every_rule_has_a_forced_violation():
+    assert {name for name, *_ in FORCED} == set(RULES)
+
+
+@pytest.mark.parametrize("name, graph, seeds, rebound, details", FORCED,
+                         ids=[name for name, *_ in FORCED])
+def test_verify_attributes_each_forced_violation_to_its_rule_and_graph(
+        name, graph, seeds, rebound, details, monkeypatch):
+    from lmss import theorems
+
+    rule = RULES[name]
+    parts = dict(base=K1, parts=(K1,)) if rule.needs_corona else {}
+    # on the graph's own facts the routes agree
+    assert rule.check(Facts(graph, "forced", **parts)) == []
+    item = Facts(graph, "forced", **parts)
+    item.__dict__.update(seeds)
+    if rebound:
+        monkeypatch.setattr(theorems, *rebound)
+    monkeypatch.setattr(theorems, "iter_corpus", lambda spec: iter([item]))
+    spec = (CorpusSpec(source="coronas", max_x=1, max_h=1) if rule.needs_corona
+            else CorpusSpec(source="fixtures", fixtures=("fig8_G1",)))
+    summary = verify(spec, [name])
+    assert summary.reports[0].violations == tuple(
+        theorems.Violation(name, "forced", d, serialize(graph)) for d in details
+    )
