@@ -5,7 +5,7 @@ are the ``CorpusSpec`` fields it reads, with their defaults.  Everything
 else reads that table and ``FILTERS``, so a new source is one entry there.
 
 A corpus item is a ``Facts``: its graph, its name and, for coronas, the
-base and parts, with every per-graph fact computed on first use.  A filter
+parts, with every per-graph fact computed on first use.  A filter
 reads the item, so the fact it decides is the cached one that the rules
 of ``verify`` read next.
 
@@ -379,7 +379,7 @@ def corona_family(max_x: int = 3, max_h: int = 3, max_total: int = 12) -> Iterat
     parts = [g for n in range(1, top_h + 1) for g in nonisomorphic_graphs(n)]
     shapes = ((x, hs) for x in bases for hs in _part_tuples(parts, x.n, max_total - x.n))
     return (
-        Facts(corona(x, hs), f"corona_{i:04d}", base=x, parts=hs)
+        Facts(corona(x, hs), f"corona_{i:04d}", parts=hs)
         for i, (x, hs) in enumerate(shapes)
     )
 
@@ -498,7 +498,7 @@ class CorpusSpec:
 
     @property
     def carries_parts(self) -> bool:
-        """Whether every item carries the base and parts of its corona."""
+        """Whether every item carries the parts of its corona."""
         return SOURCES[self.source].carries_parts
 
     def to_dict(self) -> dict:

@@ -33,11 +33,10 @@ class _fact(cached_property):
 
 @dataclass(eq=False)
 class Facts:
-    """One graph, its corpus ``name``, the ``base`` and ``parts`` of a corona, and its facts."""
+    """One graph, its corpus ``name``, the ``parts`` of a corona, and its facts."""
 
     graph: Graph
     name: str | None = None
-    base: Graph | None = None
     parts: tuple[Graph, ...] = ()
     _pm_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 

@@ -1,11 +1,16 @@
 """Verification rules: exact statements checked over generated corpora.
 
-Each rule inspects one corpus item, applies only where its hypothesis
-holds, and returns one detail string per violation; ``verify`` alone
-names the rule and the item and adds the item's edge list to reproduce it.
-Wherever a statement equates two notions, the rule derives both sides
-through independent code paths (enumeration vs. search, counting vs.
-axioms) rather than trusting one implementation twice.
+A rule is one row of ``RULES``: its name, what it states, whether it
+needs a corona corpus, and its ``check``.  A conditional statement's
+check is ``_when(hypothesis, claim)``, so its hypothesis is declared in
+its row alone, and a graph that fails it gets no detail.  A ``_check_*``
+function states only the claim and returns one detail string per
+violation; an "A iff B" claim reports through ``_iff``.  ``verify``
+alone names the rule and the item and adds the item's edge list to
+reproduce it.  Wherever a statement equates two notions, the rule
+derives both sides through independent code paths (enumeration vs.
+search, counting vs. axioms) rather than trusting one implementation
+twice.
 
 A corpus item is a ``Facts``; a rule reads from it the facts that the
 corpus filter and other rules also read: alpha, mu, the Koenig-Egervary
@@ -67,6 +72,26 @@ class Violation:
 # ------------------------------------------------------------------ rules
 
 
+def _when(hypothesis: Callable[[Facts], bool],
+          claim: Callable[[Facts], list[str]]) -> Callable[[Facts], list[str]]:
+    """The check of a conditional rule: ``claim`` on an item that meets
+    ``hypothesis``, no detail on the rest."""
+
+    def check(item: Facts) -> list[str]:
+        return claim(item) if hypothesis(item) else []
+
+    return check
+
+
+def _vwc(item: Facts) -> bool:
+    return item.very_well_covered
+
+
+def _iff(lhs_name: str, lhs: bool, rhs_name: str, rhs: bool) -> list[str]:
+    """The detail of an "A iff B" claim whose two sides split, if they do."""
+    return [f"{lhs_name} {lhs}, {rhs_name} {rhs}"] if lhs != rhs else []
+
+
 def _check_th1(item: Facts) -> list[str]:
     g = item.graph
     omega = item.omega.members
@@ -78,16 +103,10 @@ def _check_th1(item: Facts) -> list[str]:
 
 
 def _check_th2(item: Facts) -> list[str]:
-    if not is_forest(item.graph):
-        return []
-    if not item.greedoid:
-        return ["forest whose family fails the axioms"]
-    return []
+    return [] if item.greedoid else ["forest whose family fails the axioms"]
 
 
 def _check_th3(item: Facts) -> list[str]:
-    if not item.very_well_covered:
-        return []
     ok, witness = _psi_neighborhoods_are_ke(item.graph, item.psi)
     if not ok:
         return [f"N[{witness!r}] induces a non-Koenig-Egervary graph"]
@@ -96,8 +115,6 @@ def _check_th3(item: Facts) -> list[str]:
 
 def _check_th4(item: Facts) -> list[str]:
     g = item.graph
-    if not item.koenig_egervary:
-        return []
     out = []
     for m in item.maximum_matchings:
         for s in item.omega.members:
@@ -128,8 +145,6 @@ def _check_th7(item: Facts) -> list[str]:
 
 def _check_th8(item: Facts) -> list[str]:
     g = item.graph
-    if not item.very_well_covered:
-        return []
     out = []
     brute = item.greedoid
     unique = has_unique_perfect_matching(g)[0]
@@ -160,64 +175,40 @@ def _check_th9(item: Facts) -> list[str]:
 
 
 def _check_th10iv(item: Facts) -> list[str]:
-    if item.base is None:
-        raise UsageError("th10iv needs a corona corpus")
-    whole = item.greedoid
-    parts = all(is_greedoid(psi_enumerate(h)) for h in item.parts)
-    if whole != parts:
-        return [f"corona verdict {whole}, attached-part verdict {parts}"]
-    return []
+    return _iff("corona verdict", item.greedoid, "attached-part verdict",
+                all(is_greedoid(psi_enumerate(h)) for h in item.parts))
 
 
 def _check_th11(item: Facts) -> list[str]:
+    """Favaron's hypothesis, no isolated vertex, is implied: an isolated
+    vertex makes the graph not very well-covered and leaves it no perfect
+    matching, so both sides are False."""
     g = item.graph
-    if has_isolated_vertices(g):
-        return []
     # a lazy walk of the perfect matchings: the first without P ends it
     rhs = False
     for m in _matchings(g, g.n // 2) if g.n % 2 == 0 else ():
         rhs = check_property_p(g, m)[0]
         if not rhs:
             break
-    lhs = item.very_well_covered
-    if lhs != rhs:
-        return [f"very-well-covered {lhs}, perfect-matching property {rhs}"]
-    return []
+    return _iff("very-well-covered", item.very_well_covered, "perfect-matching property", rhs)
 
 
 def _check_th22(item: Facts) -> list[str]:
-    if not is_bipartite(item.graph):
-        return []
-    lhs = item.greedoid
-    rhs = all(item.unique_pm_on(m.saturated_bits) for m in item.maximum_matchings)
-    if lhs != rhs:
-        return [f"greedoid {lhs}, all-maximum-matchings-restricted {rhs}"]
-    return []
+    return _iff("greedoid", item.greedoid, "all-maximum-matchings-restricted",
+                all(item.unique_pm_on(m.saturated_bits) for m in item.maximum_matchings))
 
 
 def _check_th88iii(item: Facts) -> list[str]:
-    if has_isolated_vertices(item.graph):
-        return []
-    lhs = item.very_well_covered
-    rhs = item.well_covered and item.koenig_egervary
-    if lhs != rhs:
-        return [f"very-well-covered {lhs}, well-covered+KE {rhs}"]
-    return []
+    return _iff("very-well-covered", item.very_well_covered, "well-covered+KE",
+                item.well_covered and item.koenig_egervary)
 
 
 def _check_th88iv(item: Facts) -> list[str]:
-    if item.base is None:
-        raise UsageError("th88iv needs a corona corpus")
-    lhs = item.well_covered
-    rhs = all(2 * h.edge_count == h.n * (h.n - 1) for h in item.parts)
-    if lhs != rhs:
-        return [f"well-covered {lhs}, all-parts-complete {rhs}"]
-    return []
+    return _iff("well-covered", item.well_covered, "all-parts-complete",
+                all(2 * h.edge_count == h.n * (h.n - 1) for h in item.parts))
 
 
 def _check_lem1(item: Facts) -> list[str]:
-    if not item.very_well_covered:
-        return []
     out = []
     # the maximum matchings are all perfect or, with no perfect matching, none is
     for m in item.maximum_matchings:
@@ -231,8 +222,6 @@ def _check_lem1(item: Facts) -> list[str]:
 
 def _check_lem2(item: Facts) -> list[str]:
     g = item.graph
-    if not item.very_well_covered:
-        return []
     out = []
     for m in item.maximum_matchings:
         any_cycle = not is_uniquely_restricted(g, m)
@@ -244,8 +233,6 @@ def _check_lem2(item: Facts) -> list[str]:
 
 def _check_lem3(item: Facts) -> list[str]:
     g = item.graph
-    if not item.very_well_covered:
-        return []
     psi = set(item.psi.members)
     out = []
     for mask, _ in item.stable_sets:
@@ -257,8 +244,6 @@ def _check_lem3(item: Facts) -> list[str]:
 
 def _check_lem65(item: Facts) -> list[str]:
     g = item.graph
-    if not item.very_well_covered:
-        return []
     psi = set(item.psi.members)
     out = []
     for bmask in item.psi.members:
@@ -273,8 +258,6 @@ def _check_lem65(item: Facts) -> list[str]:
 
 def _check_equiv7(item: Facts) -> list[str]:
     g = item.graph
-    if not item.very_well_covered:
-        return []
     mm = item.maximum_matchings
     restricted = [item.unique_pm_on(m.saturated_bits) for m in mm]
     cycle_free = [is_uniquely_restricted(g, m) for m in mm]
@@ -294,8 +277,6 @@ def _check_equiv7(item: Facts) -> list[str]:
 
 
 def _check_c4free_corollary(item: Facts) -> list[str]:
-    if not (item.very_well_covered and is_c4_free(item.graph)):
-        return []
     out = []
     if item.perfect_matching_count != 1:
         out.append("no unique perfect matching")
@@ -317,14 +298,17 @@ RULES: dict[str, Rule] = {
     for r in [
         Rule("th1", "every local maximum stable set extends to a maximum stable set",
              False, _check_th1),
-        Rule("th2", "forests produce greedoid families", False, _check_th2),
+        Rule("th2", "forests produce greedoid families", False,
+             _when(lambda item: is_forest(item.graph), _check_th2)),
         Rule("th3", "in very well-covered graphs, closed neighbourhoods of local "
-             "maximum stable sets induce Koenig-Egervary graphs", False, _check_th3),
+             "maximum stable sets induce Koenig-Egervary graphs", False,
+             _when(_vwc, _check_th3)),
         Rule("th4", "Koenig-Egervary: maximum matchings cross maximum stable sets; "
-             "alpha-critical edges are mu-critical", False, _check_th4),
+             "alpha-critical edges are mu-critical", False,
+             _when(lambda item: item.koenig_egervary, _check_th4)),
         Rule("th7", "accessibility of the family implies exchange", False, _check_th7),
         Rule("th8", "very well-covered: greedoid iff unique perfect matching",
-             False, _check_th8),
+             False, _when(_vwc, _check_th8)),
         Rule("th9", "uniquely restricted iff alternating-cycle-free, for every matching",
              False, _check_th9),
         Rule("th10iv", "corona family is a greedoid iff every attached family is",
@@ -332,21 +316,26 @@ RULES: dict[str, Rule] = {
         Rule("th11", "no isolated vertices: very well-covered iff a perfect matching "
              "exists and all of them satisfy the neighbourhood property", False, _check_th11),
         Rule("th22", "bipartite: greedoid iff all maximum matchings uniquely restricted",
-             False, _check_th22),
+             False, _when(lambda item: is_bipartite(item.graph), _check_th22)),
         Rule("th88iii", "very well-covered iff well-covered Koenig-Egervary "
-             "(no isolated vertices)", False, _check_th88iii),
+             "(no isolated vertices)", False,
+             _when(lambda item: not has_isolated_vertices(item.graph), _check_th88iii)),
         Rule("th88iv", "corona is well-covered iff every attached graph is complete",
              True, _check_th88iv),
         Rule("lem1", "no perfect-matching edge lies on a chordless cycle of length "
-             "3 or >= 5 in a very well-covered graph", False, _check_lem1),
+             "3 or >= 5 in a very well-covered graph", False, _when(_vwc, _check_lem1)),
         Rule("lem2", "very well-covered: alternating cycle exists iff a chordless "
-             "alternating square exists", False, _check_lem2),
+             "alternating square exists", False, _when(_vwc, _check_lem2)),
         Rule("lem3", "very well-covered membership shortcut |S| = |N(S)| agrees with "
-             "the definition", False, _check_lem3),
-        Rule("lem65", "one-vertex growth test agrees with the definition", False, _check_lem65),
-        Rule("equiv7", "the seven uniquely-restricted equivalents agree", False, _check_equiv7),
+             "the definition", False, _when(_vwc, _check_lem3)),
+        Rule("lem65", "one-vertex growth test agrees with the definition", False,
+             _when(_vwc, _check_lem65)),
+        Rule("equiv7", "the seven uniquely-restricted equivalents agree", False,
+             _when(_vwc, _check_equiv7)),
         Rule("c4free-corollary", "very well-covered and square-free forces a unique "
-             "perfect matching and a greedoid", False, _check_c4free_corollary),
+             "perfect matching and a greedoid", False,
+             _when(lambda item: item.very_well_covered and is_c4_free(item.graph),
+                   _check_c4free_corollary)),
     ]
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -6,12 +7,15 @@ import pytest
 import oracles
 from lmss import (CorpusSpec, Matching, UsageError, corona, complete, cycle, fixture,
                   parse_edge_list, path, verify)
-from lmss.corpus import connected_graphs, iter_corpus
-from lmss.classifiers import _well_covered
+from lmss.corpus import (connected_graphs, graph_from_key, graph_keys, iter_corpus,
+                         nonisomorphic_graphs)
+from lmss.classifiers import (_well_covered, has_isolated_vertices, is_bipartite, is_c4_free,
+                              is_forest, is_triangle_free)
 from lmss.facts import Facts
 from lmss.matching import _alternating_cycles, _count_perfect_matchings_on, count_perfect_matchings
-from lmss.graphs import serialize
+from lmss.graphs import Graph, serialize
 from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting
+from lmss import theorems
 from lmss.theorems import RULES, _check_th10iv
 
 
@@ -44,11 +48,11 @@ def test_verify_rejects_unknown_rule_and_wrong_corpus():
 
 def test_corona_rules_on_nontrivial_parts():
     # attached parts with a non-greedoid family force the corona verdict down
-    wheel_item = Facts(corona(complete(1), [cycle(4)]), "w", base=complete(1), parts=(cycle(4),))
+    wheel_item = Facts(corona(complete(1), [cycle(4)]), "w", parts=(cycle(4),))
     assert _check_th10iv(wheel_item) == []  # the rule holds: both sides are False
     from lmss import psi_is_greedoid
     assert not psi_is_greedoid(wheel_item.graph).holds
-    good = Facts(corona(complete(1), [complete(3)]), "k", base=complete(1), parts=(complete(3),))
+    good = Facts(corona(complete(1), [complete(3)]), "k", parts=(complete(3),))
     assert _check_th10iv(good) == []
     assert psi_is_greedoid(good.graph).holds
 
@@ -154,10 +158,8 @@ def test_verify_rejects_empty_corpus():
 
 
 def test_th4_checker_on_ke_graphs(connected_upto_6):
-    from lmss.theorems import _check_th4
-
     for g in connected_upto_6[:60]:
-        assert _check_th4(Facts(g, "g")) == []
+        assert RULES["th4"].check(Facts(g, "g")) == []
 
 
 def test_th4_alpha_of_an_edge_deleted_graph_reads_a_mask_of_the_graph():
@@ -367,7 +369,7 @@ def test_verify_attributes_each_forced_violation_to_its_rule_and_graph(
     from lmss import theorems
 
     rule = RULES[name]
-    parts = dict(base=K1, parts=(K1,)) if rule.needs_corona else {}
+    parts = dict(parts=(K1,)) if rule.needs_corona else {}
     # on the graph's own facts the routes agree
     assert rule.check(Facts(graph, "forced", **parts)) == []
     item = Facts(graph, "forced", **parts)
@@ -381,3 +383,154 @@ def test_verify_attributes_each_forced_violation_to_its_rule_and_graph(
     assert summary.reports[0].violations == tuple(
         theorems.Violation(name, "forced", d, serialize(graph)) for d in details
     )
+
+
+def test_verify_calls_every_check_once_per_item_the_hypothesis_skips_too(monkeypatch):
+    # a rule's hypothesis runs inside its check, so every check sees every item
+    calls = Counter()
+
+    def counted(name, check):
+        return lambda item: calls.update([name]) or check(item)
+
+    for name, rule in list(RULES.items()):
+        monkeypatch.setitem(RULES, name, dataclasses.replace(rule, check=counted(name, rule.check)))
+    for spec in (CorpusSpec(source="exhaustive", max_n=5),
+                 CorpusSpec(source="coronas", max_x=2, max_h=2)):
+        calls.clear()
+        summary = verify(spec, ["all"])
+        size = sum(1 for _ in iter_corpus(spec))
+        assert {r.checked for r in summary.reports} == {size}
+        assert calls == {r.rule: size for r in summary.reports}
+        # th2 applies to the forests alone, which are a minority of either corpus
+        assert 0 < sum(is_forest(item.graph) for item in iter_corpus(spec)) < size
+
+
+def _claim(name):
+    return getattr(theorems, "_check_" + name.replace("-", "_"))
+
+
+# each hypothesis as a predicate of an item
+HYPOTHESIS = {
+    "forest": lambda item: is_forest(item.graph),
+    "very well-covered": lambda item: item.very_well_covered,
+    "Koenig-Egervary": lambda item: item.koenig_egervary,
+    "bipartite": lambda item: is_bipartite(item.graph),
+    "no isolated vertex": lambda item: not has_isolated_vertices(item.graph),
+    "square-free": lambda item: is_c4_free(item.graph),
+}
+# witnesses, as the catalogue labels them: (n, canonical key)
+WITNESS = {"K1": (1, 0), "K3": (3, 7), "paw": (4, 15), "C4": (4, 30), "diamond": (4, 31),
+           "K4": (4, 63)}
+
+# rule, the hypothesis dropped, the hypothesis kept, a witness and the first detail its
+# claim reports there.  A pair's first row is its smallest witness in (n, edge count,
+# canonical key) order; a second row is the smallest one that has a perfect matching
+# and no isolated vertex, where the first has not.  The paw is a triangle with a
+# pendant vertex, and the diamond is K4 minus an edge.
+NECESSARY = [
+    ("th2", "forest", None, "C4", "forest whose family fails the axioms"),
+    ("th3", "very well-covered", None, "K3", "N[{0}] induces a non-Koenig-Egervary graph"),
+    ("th3", "very well-covered", None, "paw", "N[{1}] induces a non-Koenig-Egervary graph"),
+    ("th4", "Koenig-Egervary", None, "K3", "maximum matching {01} not inside the cut of 0x4"),
+    ("th4", "Koenig-Egervary", None, "K4", "maximum matching {01,23} not inside the cut of 0x1"),
+    ("th8", "very well-covered", None, "K1",
+     "axioms say True, unique-perfect-matching says False"),
+    ("th8", "very well-covered", None, "diamond",
+     "axioms say True, unique-perfect-matching says False"),
+    ("th22", "bipartite", None, "diamond",
+     "greedoid True, all-maximum-matchings-restricted False"),
+    # no graph with no isolated vertex fails "no isolated vertex"
+    ("th88iii", "no isolated vertex", None, "K1", "very-well-covered False, well-covered+KE True"),
+    ("lem1", "very well-covered", None, "paw",
+     "matched edge on a chordless cycle [1, 2, 3] under {03,12}"),
+    ("lem2", "very well-covered", None, "diamond",
+     "{02,13}: alternating cycle True, chordless square False"),
+    ("lem3", "very well-covered", None, "K1", "counting and oracle membership split on {0}"),
+    ("lem3", "very well-covered", None, "paw", "counting and oracle membership split on {1}"),
+    ("lem65", "very well-covered", None, "K1", "growth test and oracle split on 0x0+0"),
+    ("lem65", "very well-covered", None, "paw", "growth test and oracle split on 0x0+1"),
+    ("equiv7", "very well-covered", None, "diamond",
+     "the seven equivalents split: {'greedoid': True, 'some_restricted': False, "
+     "'some_cycle_free': False, 'some_square_free': True, 'all_cycle_free': False, "
+     "'all_square_free': True, 'all_restricted': False}"),
+    ("c4free-corollary", "very well-covered", "square-free", "K1", "no unique perfect matching"),
+    ("c4free-corollary", "very well-covered", "square-free", "diamond",
+     "no unique perfect matching"),
+    ("c4free-corollary", "square-free", "very well-covered", "C4", "no unique perfect matching"),
+]
+
+
+@pytest.mark.parametrize("name, dropped, kept, witness, detail", NECESSARY,
+                         ids=[f"{r[0]}-{r[3]}" for r in NECESSARY])
+def test_each_hypothesis_is_necessary(name, dropped, kept, witness, detail):
+    # the witness fails the dropped hypothesis alone, and there the claim fails too
+    item = Facts(graph_from_key(*WITNESS[witness]))
+    assert not HYPOTHESIS[dropped](item) and (kept is None or HYPOTHESIS[kept](item))
+    assert _claim(name)(item)[0] == detail
+    assert RULES[name].check(Facts(item.graph)) == []
+
+
+def test_the_pinned_witnesses_are_the_smallest_on_six_vertices():
+    order = sorted(((g.n, g.edge_count, k), g) for n in range(1, 7)
+                   for k, g in zip(graph_keys(n), nonisomorphic_graphs(n)))
+    assert len(order) == 208
+    names = {nk: name for name, nk in WITNESS.items()}
+    pinned: dict[tuple, list[str]] = {}
+    for name, dropped, kept, witness, _ in NECESSARY:
+        pinned.setdefault((name, dropped, kept), []).append(witness)
+    for (name, dropped, kept), witnesses in pinned.items():
+        found = []
+        for matched_only in (False, True):
+            for (n, _, key), g in order:
+                item = Facts(g)
+                if HYPOTHESIS[dropped](item) or kept and not HYPOTHESIS[kept](item):
+                    continue
+                if matched_only and (not item.perfect_matching_count
+                                     or has_isolated_vertices(item.graph)):
+                    continue
+                if _claim(name)(item):
+                    found.append(names.get((n, key), (n, key)))
+                    break
+        assert list(dict.fromkeys(found)) == witnesses, (name, dropped)
+
+
+def test_th11_needs_no_isolated_vertex_guard():
+    # Favaron's statement assumes no isolated vertex; with one, the graph is not
+    # very well-covered and has no perfect matching, so the claim holds anyway
+    # on all 209 graphs with n <= 7 that have an isolated vertex
+    with_isolated = [Graph(g.n + 1, g.adj + (0,)) for n in range(7) for g in nonisomorphic_graphs(n)]
+    assert len(with_isolated) == 209
+    assert all(_claim("th11")(Facts(g)) == [] for g in with_isolated)
+
+
+def test_th8_fails_when_very_well_covered_is_weakened(connected_upto_8):
+    # the repo's census, not a claim of the paper: among the connected graphs with
+    # n <= 8 that have a perfect matching, th8's claim splits on some of the
+    # well-covered, Koenig-Egervary and triangle-free graphs
+    weakened = {
+        "well-covered": lambda item: item.well_covered,
+        "Koenig-Egervary": lambda item: item.koenig_egervary,
+        "triangle-free": lambda item: is_triangle_free(item.graph),
+    }
+    members, splits = Counter(), {name: [] for name in weakened}
+    for g in connected_upto_8:
+        item = Facts(g)
+        if not item.perfect_matching_count:
+            continue
+        split = None
+        for name, holds in weakened.items():
+            if holds(item):
+                members[name] += 1
+                if split is None:
+                    split = bool(_claim("th8")(item))
+                if split:
+                    splits[name].append(g)
+    assert members == {"well-covered": 816, "Koenig-Egervary": 4_104, "triangle-free": 164}
+    assert {name: len(gs) for name, gs in splits.items()} == {
+        "well-covered": 89, "Koenig-Egervary": 995, "triangle-free": 17}
+    # the smallest: K4, the diamond, and C5 with a pendant vertex
+    assert [serialize(gs[0]) for gs in splits.values()] == [
+        "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+        "4\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+        "6\n0 5\n1 2\n1 4\n2 3\n3 5\n4 5\n",
+    ]
