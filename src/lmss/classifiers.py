@@ -1,15 +1,13 @@
 """Graph-class predicates: well-covered, very well-covered, Koenig-Egervary, etc.
 
-All predicates are exact.  Well-coveredness reads the maximal stable sets
-off the stable-set walk of ``stability``; the others test the definition
-directly.  The Koenig-Egervary tests read alpha and mu from the memoised
-recursions on the vertex mask (``stability._alpha_on``,
-``matching._mu_on``), so no 2^n table is built.
+All predicates are exact.  Well-coveredness, very well-coveredness and
+Koenig-Egervary read ``Facts(g)``, where each is defined; the others test
+the definition directly.  The test of psi members' neighbourhoods reads
+alpha and mu from the memoised recursions on the vertex mask
+(``stability._alpha_on``, ``matching._mu_on``), so no 2^n table is built.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .graphs import (
     Graph,
@@ -18,26 +16,18 @@ from .graphs import (
     closed_neighborhood_bits,
 )
 from .matching import _mu_on, mu
-from .stability import StableSetFamily, _alpha_on, _stable_sets, alpha, psi_enumerate
+from .stability import StableSetFamily, _alpha_on, _stable_sets, psi_enumerate
 
 
 def maximal_stable_sets(g: Graph) -> list[int]:
     """All inclusion-wise maximal stable sets, as masks in ascending order."""
-    return _maximal_stable_sets(g, _stable_sets(g))
-
-
-def _maximal_stable_sets(g: Graph, walk: list[tuple[int, int]]) -> list[int]:
-    return [s for s, c in walk if c == g.full_mask]
+    return [s for s, c in _stable_sets(g) if c == g.full_mask]
 
 
 def is_well_covered(g: Graph) -> bool:
     """Every maximal stable set has maximum cardinality."""
-    return _well_covered(g, alpha(g), _stable_sets(g))
-
-
-def _well_covered(g: Graph, a: int, walk: list[tuple[int, int]]) -> bool:
-    """``is_well_covered`` read off alpha and the stable-set walk of g."""
-    return all(m.bit_count() == a for m in _maximal_stable_sets(g, walk))
+    from .facts import Facts
+    return Facts(g).well_covered
 
 
 def has_isolated_vertices(g: Graph) -> bool:
@@ -46,17 +36,13 @@ def has_isolated_vertices(g: Graph) -> bool:
 
 def is_very_well_covered(g: Graph) -> bool:
     """Well-covered, no isolated vertices, and |V| = 2 alpha."""
-    return _very_well_covered(g, lambda: alpha(g), lambda: _well_covered(g, g.n // 2, _stable_sets(g)))
-
-
-def _very_well_covered(g: Graph, alpha: Callable[[], int], well_covered: Callable[[], bool]) -> bool:
-    """The definition, cheap tests first: ``alpha()`` is asked only for an even
-    n with no isolated vertex, the costly ``well_covered()`` once n = 2 alpha."""
-    return not has_isolated_vertices(g) and g.n % 2 == 0 and g.n == 2 * alpha() and well_covered()
+    from .facts import Facts
+    return Facts(g).very_well_covered
 
 
 def is_koenig_egervary(g: Graph) -> bool:
-    return alpha(g) + mu(g) == g.n
+    from .facts import Facts
+    return Facts(g).koenig_egervary
 
 
 def is_triangle_free(g: Graph) -> bool:

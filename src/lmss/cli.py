@@ -106,8 +106,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # a name repeated on the command line is checked once, at its first position
-    summary = verify(_corpus_spec(args), list(dict.fromkeys(args.theorem)))
+    summary = verify(_corpus_spec(args), args.theorem)
     if args.format == "json":
         sys.stdout.write(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
     else:

@@ -5,7 +5,9 @@ graph, the corpus filter and ``verify``'s rules read the same one, and it
 is dropped with the item.  ``report.analyze_graph`` builds one for its
 graph.  So no cache outlives its graph.  A fact calls its function
 through this module's name for it, so a tracer or a test that rebinds the
-name reaches the call.
+name reaches the call.  Each derived fact (well-covered, psi, ...) is
+defined here, on this graph's alpha and stable-set walk; the public
+function of the same fact returns ``Facts(g)``'s value.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .classifiers import _very_well_covered, _well_covered
+from .classifiers import has_isolated_vertices
 from .graphs import Graph
 from .greedoid import check_accessibility, check_exchange
 from .matching import (Matching, _count_perfect_matchings_on, count_perfect_matchings,
                        enumerate_maximum_matchings, mu)
-from .stability import StableSetFamily, _omega, _psi, _stable_sets, alpha
+from .stability import StableSetFamily, _alpha_on, _stable_sets, alpha
 
 
 class _fact(cached_property):
@@ -63,19 +65,30 @@ class Facts:
 
     @_fact
     def well_covered(self) -> bool:
-        return _well_covered(self.graph, self.alpha, self.stable_sets)
+        """Every maximal stable set (N[S] = V on the walk) has size alpha."""
+        a, full = self.alpha, self.graph.full_mask
+        return all(s.bit_count() == a for s, c in self.stable_sets if c == full)
 
     @_fact
     def very_well_covered(self) -> bool:
-        return _very_well_covered(self.graph, lambda: self.alpha, lambda: self.well_covered)
+        """No isolated vertex, n = 2 alpha, well-covered: the costliest test last."""
+        g = self.graph
+        return (not has_isolated_vertices(g) and g.n % 2 == 0 and g.n == 2 * self.alpha
+                and self.well_covered)
 
     @_fact
     def psi(self) -> StableSetFamily:
-        return _psi(self.graph, self.stable_sets)
+        """The walk's S with |S| = alpha(G[N[S]]), through one alpha memo."""
+        g = self.graph
+        memo: dict[int, int] = {}
+        return StableSetFamily(g.n, tuple(
+            s for s, c in self.stable_sets if s.bit_count() == _alpha_on(g, c, memo)), g)
 
     @_fact
     def omega(self) -> StableSetFamily:
-        return _omega(self.graph, self.alpha, self.stable_sets)
+        """The maximum stable sets: the walk's S with |S| = alpha."""
+        a, g = self.alpha, self.graph
+        return StableSetFamily(g.n, tuple(s for s, _ in self.stable_sets if s.bit_count() == a), g)
 
     @_fact
     def accessibility(self) -> tuple[bool, int | None]:

@@ -14,6 +14,8 @@ family (the "bruteforce" route) on every other graph.  A negative
 brute-force verdict carries the failing axiom's witness; a positive one
 carries no certificate, since the axioms hold on the whole family.  The
 brute-force verdict on any graph is ``is_greedoid(psi_enumerate(g))``.
+Both ``psi_is_greedoid`` and ``matching_from_chains`` read the facts they
+need off one ``Facts(g)``, so each takes the stable-set walk once.
 
 The axiom checks take a ``SetSystem``.  It lives in ``stability``, where
 every family the package builds is made as its subclass
@@ -32,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .classifiers import is_very_well_covered
 from .graphs import Edge, Graph, UsageError, VertexSet, bits, closed_neighborhood_bits
 from .matching import AlternatingCycle, Matching, _perfect_matching_and_cycle
-from .stability import SetSystem, _psi_member_bits, omega_enumerate, psi_enumerate
+from .stability import SetSystem, _psi_member_bits
 
 
 def check_accessibility(f: SetSystem) -> tuple[bool, int | None]:
@@ -170,7 +171,10 @@ def psi_is_greedoid(g: Graph) -> GreedoidVerdict:
     enumerated family (mode ``bruteforce``); a negative verdict carries an
     inaccessible member or an exchange-violating pair.
     """
-    if is_very_well_covered(g):
+    from .facts import Facts
+
+    facts = Facts(g)
+    if facts.very_well_covered:
         pm, cyc = _perfect_matching_and_cycle(g)
         if pm is None:
             return GreedoidVerdict(False, "fast")
@@ -178,11 +182,10 @@ def psi_is_greedoid(g: Graph) -> GreedoidVerdict:
             return GreedoidVerdict(True, "fast", unique_matching=pm)
         return GreedoidVerdict(False, "fast", alternating_cycle=cyc)
 
-    f = psi_enumerate(g)
-    ok, bad = check_accessibility(f)
+    ok, bad = facts.accessibility
     if not ok:
         return GreedoidVerdict(False, "bruteforce", inaccessible_member=VertexSet(g, bad))
-    ok, pair = check_exchange(f)
+    ok, pair = facts.exchange
     if not ok:
         x, y = pair
         return GreedoidVerdict(
@@ -200,13 +203,15 @@ def matching_from_chains(g: Graph) -> Matching:
     matching.  Requires a very well-covered graph whose family is a
     greedoid.
     """
-    if not is_very_well_covered(g):
+    from .facts import Facts
+
+    facts = Facts(g)
+    if not facts.very_well_covered:
         raise UsageError("matching_from_chains needs a very well-covered graph")
     pm, cyc = _perfect_matching_and_cycle(g)
     if pm is None or cyc is not None:
         raise UsageError("matching_from_chains needs a greedoid family")
-    omega = omega_enumerate(g)
-    s = VertexSet(g, omega.members[0])
+    s = VertexSet(g, facts.omega.members[0])
     chain = accessibility_chain(g, s)
     if chain is None:
         raise UsageError("no accessibility chain despite the greedoid property")

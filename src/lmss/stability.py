@@ -7,13 +7,16 @@ such sets (written ``psi`` here) always contains the empty set.
 Every stable-set family is read off one walk, ``_stable_sets``, which
 lists each stable set S together with N[S], in ascending mask order:
 
-* psi (``psi_enumerate``) keeps S with |S| = alpha(G[N[S]]), the
-  definition, with alpha read from ``_alpha_on``, a memoised recursion on
-  the vertex mask that visits only the masks those N[S] reach and always
-  takes a pendant or isolated lowest vertex;
-* the maximum stable sets (``omega_enumerate``) keep |S| = alpha(G);
+* psi keeps S with |S| = alpha(G[N[S]]), the definition, with alpha read
+  from ``_alpha_on``, a memoised recursion on the vertex mask that visits
+  only the masks those N[S] reach and always takes a pendant or isolated
+  lowest vertex;
+* the maximum stable sets keep |S| = alpha(G);
 * the maximal stable sets (``classifiers.maximal_stable_sets``) keep
   N[S] = V.
+
+``facts.Facts`` defines psi and the maximum stable sets on one walk and one
+alpha per graph; ``psi_enumerate`` and ``omega_enumerate`` read them there.
 
 Each family is a ``StableSetFamily``: a ``SetSystem`` whose ground set is
 the graph's vertices.  It is validated once, when it is built, and the
@@ -151,12 +154,8 @@ class StableSetFamily(SetSystem):
 
 def omega_enumerate(g: Graph) -> StableSetFamily:
     """All maximum stable sets of g."""
-    return _omega(g, alpha(g), _stable_sets(g))
-
-
-def _omega(g: Graph, a: int, walk: list[tuple[int, int]]) -> StableSetFamily:
-    """``omega_enumerate`` read off alpha and the stable-set walk of g."""
-    return StableSetFamily(g.n, tuple(s for s, _ in walk if s.bit_count() == a), g)
+    from .facts import Facts
+    return Facts(g).omega
 
 
 def psi_member_oracle(g: Graph, s: VertexSet) -> bool:
@@ -192,15 +191,8 @@ def _psi_member_counting(g: Graph, mask: int) -> bool:
 
 def psi_enumerate(g: Graph) -> StableSetFamily:
     """The family of all local maximum stable sets, empty set included."""
-    return _psi(g, _stable_sets(g))
-
-
-def _psi(g: Graph, walk: list[tuple[int, int]]) -> StableSetFamily:
-    """``psi_enumerate`` read off the stable-set walk of g."""
-    memo: dict[int, int] = {}
-    return StableSetFamily(
-        g.n, tuple(s for s, c in walk if s.bit_count() == _alpha_on(g, c, memo)), g
-    )
+    from .facts import Facts
+    return Facts(g).psi
 
 
 def extends_to_maximum(g: Graph, s: VertexSet) -> VertexSet | None:

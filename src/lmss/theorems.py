@@ -384,9 +384,13 @@ def verify(spec: CorpusSpec, rule_names: list[str]) -> VerificationSummary:
     computed for one rule serves the others, and both are dropped before
     the next item is built.  Reports keep the requested order and
     violations keep corpus order.  The name ``all`` stands for every rule
-    the corpus admits.  Every rule name, one given beside ``all`` too, is
-    validated before the corpus is built; an empty corpus is a usage
-    error, since it would pass every rule."""
+    the corpus admits, and a name repeated is checked once, at its first
+    position.  Every rule name, one given beside ``all`` too, is validated
+    before the corpus is built; an empty rule list or an empty corpus is a
+    usage error, since either would pass with nothing checked."""
+    if not rule_names:
+        raise UsageError("no rule to check")
+    rule_names = list(dict.fromkeys(rule_names))
     for name in rule_names:
         if name == "all":
             continue

@@ -175,3 +175,30 @@ def test_matching_from_chains():
         matching_from_chains(cycle(4))  # two perfect matchings
     with pytest.raises(UsageError):
         matching_from_chains(fixture("fig10_G"))  # not very well-covered
+
+
+def _count_walks_and_alpha(patch_lmss):
+    import lmss.stability
+
+    calls = []
+    for name in ("_stable_sets", "alpha"):
+        original = getattr(lmss.stability, name)
+        patch_lmss(original, lambda g, name=name, original=original: calls.append(name) or original(g))
+    return calls
+
+
+def test_psi_is_greedoid_takes_one_stable_set_walk(patch_lmss):
+    # fig9_G1 (n = 6, alpha = 3) is not well-covered, so very-well-coveredness
+    # takes the walk and the brute-force route reads psi off the same one
+    calls = _count_walks_and_alpha(patch_lmss)
+    verdict = psi_is_greedoid(fixture("fig9_G1"))
+    assert verdict.mode == "bruteforce"
+    assert calls.count("_stable_sets") == 1
+
+
+def test_matching_from_chains_takes_one_walk_and_one_alpha(patch_lmss):
+    # very-well-coveredness and the maximum stable set read one walk and alpha
+    calls = _count_walks_and_alpha(patch_lmss)
+    g = fixture("fig8_G1")
+    assert matching_from_chains(g) == has_unique_perfect_matching(g)[1]
+    assert sorted(calls) == ["_stable_sets", "alpha"]

@@ -71,15 +71,11 @@ def test_analyze_runs_one_unique_matching_search(patch_lmss):
 
 def test_analyze_computes_well_covered_once(patch_lmss):
     # fig8_G1 is very well-covered, so the report asks well-coveredness both
-    # for itself and inside very-well-coveredness
-    original = lmss.classifiers._well_covered
+    # for itself and inside very-well-coveredness; it is read off the
+    # stable-set walk, so the walks count it
+    original = lmss.stability._stable_sets
     calls = []
-
-    def counting(g, a, walk):
-        calls.append(g)
-        return original(g, a, walk)
-
-    patch_lmss(original, counting)
+    patch_lmss(original, lambda g: calls.append(g) or original(g))
     report = analyze_graph(fixture("fig8_G1"), name="fig8_G1")
     assert report.well_covered and report.very_well_covered
     assert len(calls) == 1

@@ -9,12 +9,12 @@ from lmss import (CorpusSpec, Matching, UsageError, corona, complete, cycle, fix
                   parse_edge_list, path, verify)
 from lmss.corpus import (connected_graphs, graph_from_key, graph_keys, iter_corpus,
                          nonisomorphic_graphs)
-from lmss.classifiers import (_well_covered, has_isolated_vertices, is_bipartite, is_c4_free,
-                              is_forest, is_triangle_free)
+from lmss.classifiers import (has_isolated_vertices, is_bipartite, is_c4_free, is_forest,
+                              is_triangle_free)
 from lmss.facts import Facts
 from lmss.matching import _alternating_cycles, _count_perfect_matchings_on, count_perfect_matchings
 from lmss.graphs import Graph, serialize
-from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting
+from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting, _stable_sets
 from lmss import theorems
 from lmss.theorems import RULES, _check_th10iv
 
@@ -94,13 +94,9 @@ def test_verify_validates_every_rule_before_running_any(monkeypatch):
 
 
 def test_verify_computes_well_covered_once_per_item(patch_lmss):
+    # well-coveredness is read off the stable-set walk, so the walks count it
     calls = []
-
-    def counting(g, a, walk):
-        calls.append(g)
-        return _well_covered(g, a, walk)
-
-    patch_lmss(_well_covered, counting)
+    patch_lmss(_stable_sets, lambda g: calls.append(g) or _stable_sets(g))
     # th8 and th3 ask very-well-coveredness, which asks well-coveredness on
     # the 143 of these 177 graphs with |V| = 2 alpha; th88iii asks both on
     # every item, as none has an isolated vertex; 18 graphs are very
@@ -142,12 +138,33 @@ def test_multi_rule_reports_equal_single_rule_reports(monkeypatch):
     )
     monkeypatch.setitem(theorems.RULES, "odd", odd)
     spec = CorpusSpec(source="exhaustive", max_n=5)
+    # a repeated name is checked once, at its first position
     names = ["th8", "odd", "th1", "lem3", "odd", "th7"]
     multi = verify(spec, names)
-    assert [r.rule for r in multi.reports] == names
-    assert multi.total_violations == 2 * len(verify(spec, ["odd"]).reports[0].violations) > 0
-    for name, report in zip(names, multi.reports):
-        assert report == verify(spec, [name]).reports[0]
+    assert [r.rule for r in multi.reports] == ["th8", "odd", "th1", "lem3", "th7"]
+    assert multi.total_violations == len(verify(spec, ["odd"]).reports[0].violations) > 0
+    for report in multi.reports:
+        assert report == verify(spec, [report.rule]).reports[0]
+
+
+def test_verify_rejects_an_empty_rule_list_before_building_the_corpus(monkeypatch):
+    # with no rule, every corpus would pass with nothing checked
+    monkeypatch.setattr(theorems, "iter_corpus", lambda spec: pytest.fail("corpus built"))
+    with pytest.raises(UsageError, match="no rule to check"):
+        verify(CorpusSpec(max_n=3), [])
+
+
+def test_verify_checks_a_repeated_rule_once_at_its_first_position(monkeypatch):
+    calls = Counter()
+    for name in ("th7", "th8"):
+        rule = RULES[name]
+        monkeypatch.setitem(RULES, name, dataclasses.replace(
+            rule, check=lambda item, name=name, check=rule.check: calls.update([name]) or check(item)))
+    spec = CorpusSpec(source="exhaustive", max_n=4)
+    summary = verify(spec, ["th7", "th8", "th7"])
+    size = sum(1 for _ in iter_corpus(spec))
+    assert [r.rule for r in summary.reports] == ["th7", "th8"]
+    assert calls == {"th7": size, "th8": size}
 
 
 def test_verify_rejects_empty_corpus():
