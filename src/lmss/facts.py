@@ -6,8 +6,9 @@ is dropped with the item.  ``report.analyze_graph`` builds one for its
 graph.  So no cache outlives its graph.  A fact calls its function
 through this module's name for it, so a tracer or a test that rebinds the
 name reaches the call.  Each derived fact (well-covered, psi, ...) is
-defined here, on this graph's alpha and stable-set walk; the public
-function of the same fact returns ``Facts(g)``'s value.
+defined here, on this graph's alpha and stable-set walk, and so is the
+unique-perfect-matching search; the public function of the same fact
+returns ``Facts(g)``'s value.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from functools import cached_property
 from .classifiers import has_isolated_vertices
 from .graphs import Graph
 from .greedoid import check_accessibility, check_exchange
-from .matching import (Matching, _count_perfect_matchings_on, count_perfect_matchings,
-                       enumerate_maximum_matchings, mu)
+from .matching import (AlternatingCycle, Matching, _count_perfect_matchings_on, _matchings,
+                       count_perfect_matchings, enumerate_maximum_matchings,
+                       find_alternating_cycle, mu)
 from .stability import StableSetFamily, _alpha_on, _stable_sets, alpha
 
 
@@ -102,6 +104,21 @@ class Facts:
     def greedoid(self) -> bool:
         """The brute-force verdict: psi satisfies both axioms."""
         return self.accessibility[0] and self.exchange[0]
+
+    @_fact
+    def perfect_matching_search(self) -> tuple[Matching | None, AlternatingCycle | None]:
+        """The first perfect matching (or None) and the first alternating cycle
+        with respect to it; it never counts, so th8 can check it by counting."""
+        g = self.graph
+        pm = None if g.n % 2 else next(_matchings(g, g.n // 2), None)
+        return pm, None if pm is None else find_alternating_cycle(g, pm)
+
+    @_fact
+    def unique_perfect_matching(self) -> bool:
+        """A perfect matching is uniquely restricted exactly when it is the
+        only one, so the search finds a matching and no cycle."""
+        pm, cyc = self.perfect_matching_search
+        return pm is not None and cyc is None
 
     @_fact
     def maximum_matchings(self) -> list[Matching]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import Edge, Graph, UsageError, VertexSet, bits, closed_neighborhood_bits
-from .matching import AlternatingCycle, Matching, _perfect_matching_and_cycle
+from .matching import AlternatingCycle, Matching
 from .stability import SetSystem, _psi_member_bits
 
 
@@ -163,24 +163,21 @@ def psi_is_greedoid(g: Graph) -> GreedoidVerdict:
     """Decide whether the family of local maximum stable sets is a greedoid.
 
     On a very well-covered graph the decision is the unique-perfect-matching
-    criterion (mode ``fast``): it reads the pair (first perfect matching,
-    first alternating cycle) of the one search that
-    ``has_unique_perfect_matching`` also reads, and carries the unique
-    perfect matching or an alternating cycle (none when there is no perfect
-    matching).  On any other graph both axioms are checked on the
-    enumerated family (mode ``bruteforce``); a negative verdict carries an
-    inaccessible member or an exchange-violating pair.
+    criterion (mode ``fast``): it reads ``Facts.unique_perfect_matching``
+    and carries the unique perfect matching or an alternating cycle (none
+    when there is no perfect matching) from the search behind it.  On any
+    other graph both axioms are checked on the enumerated family (mode
+    ``bruteforce``); a negative verdict carries an inaccessible member or an
+    exchange-violating pair.
     """
     from .facts import Facts
 
     facts = Facts(g)
     if facts.very_well_covered:
-        pm, cyc = _perfect_matching_and_cycle(g)
-        if pm is None:
-            return GreedoidVerdict(False, "fast")
-        if cyc is None:
-            return GreedoidVerdict(True, "fast", unique_matching=pm)
-        return GreedoidVerdict(False, "fast", alternating_cycle=cyc)
+        pm, cyc = facts.perfect_matching_search
+        unique = facts.unique_perfect_matching
+        return GreedoidVerdict(unique, "fast", unique_matching=pm if unique else None,
+                               alternating_cycle=cyc)
 
     ok, bad = facts.accessibility
     if not ok:
@@ -208,8 +205,7 @@ def matching_from_chains(g: Graph) -> Matching:
     facts = Facts(g)
     if not facts.very_well_covered:
         raise UsageError("matching_from_chains needs a very well-covered graph")
-    pm, cyc = _perfect_matching_and_cycle(g)
-    if pm is None or cyc is not None:
+    if not facts.unique_perfect_matching:
         raise UsageError("matching_from_chains needs a greedoid family")
     s = VertexSet(g, facts.omega.members[0])
     chain = accessibility_chain(g, s)

@@ -25,11 +25,12 @@ and ``enumerate_alternating_cycles`` wrap cycles in ``AlternatingCycle``s,
 and ``is_uniquely_restricted`` only asks whether a first cycle exists; all
 three seed every matched edge.  The th9 rule reads both walks directly.
 
-The unique-perfect-matching question is one search,
-``_perfect_matching_and_cycle``: the first perfect matching, then the
-first alternating cycle with respect to it.  Every caller
-(``has_unique_perfect_matching``, the fast greedoid verdict and the
-classification report) reads that one pair.
+The unique-perfect-matching question is one search, the
+``perfect_matching_search`` fact of ``facts.Facts``: the first perfect
+matching, then the first alternating cycle with respect to it.  Every
+reader (``has_unique_perfect_matching``, the fast greedoid verdict, the
+classification report and th8) reads that one pair, or the verdict
+``Facts.unique_perfect_matching`` drawn from it.
 
 All enumeration is exhaustive DFS over canonical edge order, exact and
 deterministic at this scale (n <= 16).
@@ -406,25 +407,10 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
 
 def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
     """(True, the matching) when exactly one perfect matching exists."""
-    pm, cyc = _perfect_matching_and_cycle(g)
-    unique = pm is not None and cyc is None
-    return unique, pm if unique else None
-
-
-def _first_perfect_matching(g: Graph) -> Matching | None:
-    return None if g.n % 2 else next(_matchings(g, g.n // 2), None)
-
-
-def _perfect_matching_and_cycle(
-    g: Graph,
-) -> tuple[Matching | None, AlternatingCycle | None]:
-    """The unique-perfect-matching search: the first perfect matching of g
-    (None when there is none) and the first alternating cycle with respect
-    to it.  A perfect matching is uniquely restricted exactly when it is
-    the only perfect matching, so g has a unique perfect matching exactly
-    when the matching is present and the cycle is None."""
-    pm = _first_perfect_matching(g)
-    return pm, None if pm is None else find_alternating_cycle(g, pm)
+    from .facts import Facts
+    facts = Facts(g)
+    unique = facts.unique_perfect_matching
+    return unique, facts.perfect_matching_search[0] if unique else None
 
 
 def find_alternating_c4(g: Graph, m: Matching) -> AlternatingCycle | None:

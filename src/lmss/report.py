@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, bits, girth
 from .stability import alpha  # unused here; perfbench's tracer test reads report.alpha
-from .matching import _perfect_matching_and_cycle
 from .classifiers import is_c4_free, is_triangle_free
 from .facts import Facts
 
@@ -115,14 +114,14 @@ def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
             ("perfect_matching_count", lambda: facts.perfect_matching_count),
         )
     }
-    # one search answers uniqueness and, on very well-covered graphs, the fast
-    # greedoid verdict with its alternating-cycle certificate
-    pm, cyc = timed("unique_perfect_matching", lambda: _perfect_matching_and_cycle(g))
-    unique = pm is not None and cyc is None
+    # the facts' one search answers uniqueness and, on very well-covered graphs,
+    # the fast greedoid verdict with its alternating-cycle certificate
+    pm, cyc = timed("unique_perfect_matching", lambda: facts.perfect_matching_search)
+    unique = facts.unique_perfect_matching
     family = timed("psi_enumerate", lambda: facts.psi)
     access_ok, access_bad = timed("accessibility", lambda: facts.accessibility)
     exchange_ok, exchange_bad = timed("exchange", lambda: facts.exchange)
-    brute = access_ok and exchange_ok
+    brute = facts.greedoid
     fast = unique if facts.very_well_covered else None
 
     certificates: dict = {}

@@ -45,7 +45,6 @@ from .matching import (
     _matchings,
     _pm_edge_cycle_exclusion,
     find_alternating_c4,
-    has_unique_perfect_matching,
     check_property_p,
     is_uniquely_restricted,
 )
@@ -144,10 +143,9 @@ def _check_th7(item: Facts) -> list[str]:
 
 
 def _check_th8(item: Facts) -> list[str]:
-    g = item.graph
     out = []
     brute = item.greedoid
-    unique = has_unique_perfect_matching(g)[0]
+    unique = item.unique_perfect_matching
     if brute != unique:
         out.append(f"axioms say {brute}, unique-perfect-matching says {unique}")
     if unique != (item.perfect_matching_count == 1):

@@ -6,6 +6,7 @@ zero violations; the only tolerances are the stated runtime budgets.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 import time
@@ -241,4 +242,31 @@ def test_criterion_8_bytes_pinned():
         "criterion 8: the verify suite's bytes equal the pinned digest",
         digest == "561310f40ef86e40464f7bb1f10c47157cd4649fca6b5caeaee8e6238f5926a6",
         digest,
+    )
+
+
+# sha256 of ``lmss verify --theorem all --format json`` on four larger corpora,
+# each summary built in process as the CLI writes it
+VERIFY_ALL_DIGESTS = [
+    (CorpusSpec(source="exhaustive", max_n=7),
+     "6afbc18b8bfb1fcf9d61a1e085dd54a302a42fe1fbf561823fe3811887c4f530"),
+    (CorpusSpec(source="random", count=200, n=10, edge_probability=0.3, seed=5),
+     "616c3c4f8d2082ac0f23db456f33cb4a35670607f2aa3ba56d6f0adef9003621"),
+    (CorpusSpec(source="coronas", max_x=2, max_h=3, max_total=9),
+     "287c0cf5048eaf436327f1b3367517a4a2355f3eceb3e9d089a38cfaf0b2fc93"),
+    (CorpusSpec(source="exhaustive", max_n=8, filter="vwc"),
+     "3bea3fbff0ca54dd32c47d6f1c685a339ea1febb6994a305cedc547ae7a38144"),
+]
+
+
+def test_verify_all_bytes_pinned_on_larger_corpora():
+    digests = [
+        hashlib.sha256((json.dumps(verify(spec, ["all"]).to_dict(), sort_keys=True, indent=2)
+                        + "\n").encode()).hexdigest()
+        for spec, _ in VERIFY_ALL_DIGESTS
+    ]
+    report(
+        "criterion 8: verify --theorem all bytes equal the pinned digests on four corpora",
+        digests == [pinned for _, pinned in VERIFY_ALL_DIGESTS],
+        " ".join(d[:12] for d in digests),
     )

@@ -24,10 +24,12 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))
 def test_demo_prints_its_pinned_stdout(demo):
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT[demo]
+    # under -O asserts and `if __debug__` blocks vanish; the stdout must not change
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-W", "error", str(ROOT / "demos" / demo)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), flags
+        assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT[demo], flags

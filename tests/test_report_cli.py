@@ -55,12 +55,13 @@ def test_analyze_reports_pinned(connected_upto_6):
 
 
 def test_analyze_runs_one_unique_matching_search(patch_lmss):
-    original = lmss.matching._first_perfect_matching
+    # the search looks for one alternating cycle, on the first perfect matching
+    original = lmss.matching.find_alternating_cycle
     calls = []
 
-    def counting(g):
+    def counting(g, m):
         calls.append(g)
-        return original(g)
+        return original(g, m)
 
     patch_lmss(original, counting)
     for name in ("fig8_G1", "fig8_G2"):

@@ -346,6 +346,9 @@ FORCED = [
      ["axioms say False, unique-perfect-matching says True"]),
     ("th8", K2, {"perfect_matching_count": 2}, None,
      ["unique-matching witness disagrees with enumeration"]),
+    ("th8", K2, {"unique_perfect_matching": False}, None,
+     ["axioms say True, unique-perfect-matching says False",
+      "unique-matching witness disagrees with enumeration"]),
     ("th9", K2, {"_pm_counts": {0b11: 2}}, None,
      ["{01}: alternating-cycle route True, enumeration False"]),
     ("th10iv", K2, {"greedoid": False}, None,
