@@ -32,6 +32,10 @@ reader (``has_unique_perfect_matching``, the fast greedoid verdict, the
 classification report and th8) reads that one pair, or the verdict
 ``Facts.unique_perfect_matching`` drawn from it.
 
+Favaron's property P is defined once, per edge, by ``_edge_has_p``:
+``check_property_p`` asks it of each edge of a perfect matching, and th11
+asks it of each edge of the graph.
+
 All enumeration is exhaustive DFS over canonical edge order, exact and
 deterministic at this scale (n <= 16).
 """
@@ -422,6 +426,11 @@ def find_alternating_c4(g: Graph, m: Matching) -> AlternatingCycle | None:
     _check_matching(g, m)
     if len(m) != mu(g):
         raise UsageError("find_alternating_c4 needs a maximum matching")
+    return _find_alternating_c4(g, m)
+
+
+def _find_alternating_c4(g: Graph, m: Matching) -> AlternatingCycle | None:
+    """``find_alternating_c4`` with no check that m is a maximum matching of g."""
     es = m.edges
     for i in range(len(es)):
         a, b = es[i]
@@ -440,24 +449,33 @@ def find_alternating_c4(g: Graph, m: Matching) -> AlternatingCycle | None:
 
 
 def check_property_p(g: Graph, m: Matching) -> tuple[bool, Edge | None]:
-    """Neighbourhood condition that characterises very well-covered graphs.
-
-    For every matched edge xy: x and y share no neighbour, and every other
-    neighbour of x is adjacent to every other neighbour of y.  Returns the
+    """Neighbourhood condition that characterises very well-covered graphs:
+    every matched edge has property P (``_edge_has_p``).  Returns the first
     violating edge when the check fails.
     """
     _check_matching(g, m)
     if not m.is_perfect():
         raise UsageError("check_property_p needs a perfect matching")
     for e in m.edges:
-        x, y = e
-        if g.adj[x] & g.adj[y]:
+        if not _edge_has_p(g.adj, e.u, e.v):
             return False, e
-        others_y = g.adj[y] & ~(1 << x)
-        for v in bits(g.adj[x] & ~(1 << y)):
-            if others_y & ~g.adj[v]:
-                return False, e
     return True, None
+
+
+def _edge_has_p(adj: tuple[int, ...], x: int, y: int) -> bool:
+    """Favaron's property P on the edge xy of the graph with adjacency
+    ``adj``: x and y share no neighbour, and every other neighbour of x is
+    adjacent to every other neighbour of y."""
+    if adj[x] & adj[y]:
+        return False
+    others_y = adj[y] & ~(1 << x)
+    rest = adj[x] & ~(1 << y)
+    while rest:
+        low = rest & -rest
+        if others_y & ~adj[low.bit_length() - 1]:
+            return False
+        rest ^= low
+    return True
 
 
 def pm_edge_cycle_exclusion(g: Graph, m: Matching) -> tuple[bool, list[int] | None]:

@@ -28,7 +28,10 @@ minus its newest edge) is the latest matching one edge smaller; when the
 parent is cycle-free, the cycle walk starts at the newest edge alone.
 th4 reads alpha(G - uv) on a mask of G, through one memo per graph, and
 finds mu(G - uv) < mu(G) exactly for the edges common to every maximum
-matching.  lem1 reads the perfect matchings among the maximum ones.
+matching.  th11 builds no perfect matching: it reads one ``_mu_on`` memo
+edge by edge, mu(G) and mu(G - x - y) for each edge xy without property P.
+lem1 reads the perfect matchings among the maximum ones.  lem2 and equiv7
+run the square search unchecked, on matchings maximum by construction.
 """
 
 from __future__ import annotations
@@ -41,11 +44,11 @@ from .stability import _alpha_on, _chain_grows, _psi_member_counting, psi_enumer
 from .matching import (
     Matching,
     _cycle_free,
+    _edge_has_p,
+    _find_alternating_c4,
     _matching_walk,
-    _matchings,
+    _mu_on,
     _pm_edge_cycle_exclusion,
-    find_alternating_c4,
-    check_property_p,
     is_uniquely_restricted,
 )
 from .classifiers import (
@@ -178,16 +181,30 @@ def _check_th10iv(item: Facts) -> list[str]:
 
 
 def _check_th11(item: Facts) -> list[str]:
-    """Favaron's hypothesis, no isolated vertex, is implied: an isolated
+    """Every perfect matching has P exactly when a perfect matching exists,
+    mu(G) = n/2, and no edge without P lies in one, mu(G - x - y) < n/2 - 1
+    for each such edge xy: P is a condition on each matched edge alone.
+    One ``_mu_on`` memo answers every mu, and n = 0 has the empty matching.
+
+    Favaron's hypothesis, no isolated vertex, is implied: an isolated
     vertex makes the graph not very well-covered and leaves it no perfect
     matching, so both sides are False."""
     g = item.graph
-    # a lazy walk of the perfect matchings: the first without P ends it
-    rhs = False
-    for m in _matchings(g, g.n // 2) if g.n % 2 == 0 else ():
-        rhs = check_property_p(g, m)[0]
-        if not rhs:
-            break
+    adj, full, half = g.adj, g.full_mask, g.n // 2
+    memo: dict[int, int] = {}
+    rhs = g.n % 2 == 0 and _mu_on(g, full, memo) == half
+    x = 0
+    while rhs and x < g.n:
+        # the edges xy with y > x, as bits
+        later = adj[x] >> x + 1 << x + 1
+        while later:
+            low = later & -later
+            if (not _edge_has_p(adj, x, low.bit_length() - 1)
+                    and _mu_on(g, full ^ 1 << x ^ low, memo) == half - 1):
+                rhs = False
+                break
+            later ^= low
+        x += 1
     return _iff("very-well-covered", item.very_well_covered, "perfect-matching property", rhs)
 
 
@@ -223,7 +240,7 @@ def _check_lem2(item: Facts) -> list[str]:
     out = []
     for m in item.maximum_matchings:
         any_cycle = not is_uniquely_restricted(g, m)
-        any_square = find_alternating_c4(g, m) is not None
+        any_square = _find_alternating_c4(g, m) is not None
         if any_cycle != any_square:
             out.append(f"{m!r}: alternating cycle {any_cycle}, chordless square {any_square}")
     return out
@@ -259,7 +276,7 @@ def _check_equiv7(item: Facts) -> list[str]:
     mm = item.maximum_matchings
     restricted = [item.unique_pm_on(m.saturated_bits) for m in mm]
     cycle_free = [is_uniquely_restricted(g, m) for m in mm]
-    square_free = [find_alternating_c4(g, m) is None for m in mm]
+    square_free = [_find_alternating_c4(g, m) is None for m in mm]
     preds = {
         "greedoid": item.greedoid,
         "some_restricted": any(restricted),

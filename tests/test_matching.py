@@ -26,6 +26,7 @@ from lmss import (
     serialize,
 )
 from lmss.fixtures import fixture, fixture_names, named_edges
+from lmss.corpus import nonisomorphic_graphs
 from lmss.graphs import induced_subgraph
 from lmss.matching import _count_perfect_matchings_on, _matching_walk, _pm_edge_cycle_exclusion
 
@@ -280,6 +281,24 @@ def test_property_p_against_oracle(connected_upto_6):
         for m in enumerate_perfect_matchings(g):
             pairs = [tuple(x) for x in m.edges]
             assert check_property_p(g, m)[0] == oracles.property_p(g.n, e, pairs)
+
+
+def test_property_p_against_oracle_on_every_graph_to_seven():
+    # disconnected graphs included: P is read edge by edge, and a perfect
+    # matching fails it exactly where the oracle's whole-matching test does
+    checked = 0
+    for n in range(8):
+        for g in nonisomorphic_graphs(n):
+            e = oracles.edges_of(g)
+            for m in enumerate_perfect_matchings(g):
+                pairs = [tuple(x) for x in m.edges]
+                first_bad = next((x for x in m.edges if not oracles.property_p(g.n, e, [tuple(x)])),
+                                 None)
+                assert (first_bad is None) == oracles.property_p(g.n, e, pairs), m
+                assert check_property_p(g, m) == (first_bad is None, first_bad), m
+                checked += 1
+    # the empty matching of n = 0 included
+    assert checked == 339
 
 
 def test_pm_edge_cycle_exclusion():

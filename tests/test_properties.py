@@ -18,11 +18,13 @@ from lmss import (
     canonical_key,
     check_accessibility,
     check_exchange,
+    check_property_p,
     closed_neighborhood,
     complete,
     corona,
     cycle,
     enumerate_matchings,
+    enumerate_perfect_matchings,
     find_alternating_cycle,
     girth,
     has_pendant_perfect_matching,
@@ -40,8 +42,10 @@ from lmss import (
     serialize,
 )
 from lmss.corpus import nonisomorphic_graphs
+from lmss.facts import Facts
 from lmss.matching import _mu_on
 from lmss.stability import _alpha_on, _stable_sets
+from lmss.theorems import RULES
 
 
 @st.composite
@@ -225,6 +229,26 @@ def test_uniquely_restricted_routes_agree(g):
         assert is_uniquely_restricted(g, m) == (find_alternating_cycle(g, m) is None) == (
             oracles.is_uniquely_restricted(g.n, e, pairs)
         ), m
+
+
+@given(graphs(max_n=10))
+@example(corona(cycle(5), [complete(1)] * 5))
+@example(cycle(10))
+@example(Graph.from_edges(10, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (1, 2), (3, 4), (0, 9)]))
+@settings(max_examples=60, deadline=None)
+def test_th11_property_side_and_property_p_against_oracle(g):
+    # th11, seeded with the oracle's verdict on every perfect matching,
+    # reports nothing exactly when its mu-per-edge side agrees; and
+    # check_property_p agrees with the oracle on each of those matchings
+    e = oracles.edges_of(g)
+    pms = oracles.perfect_matchings(g.n, e)
+    item = Facts(g)
+    item.__dict__["very_well_covered"] = bool(pms) and all(
+        oracles.property_p(g.n, e, m) for m in pms)
+    assert RULES["th11"].check(item) == []
+    for m in enumerate_perfect_matchings(g):
+        pairs = [tuple(x) for x in m.edges]
+        assert check_property_p(g, m)[0] == oracles.property_p(g.n, e, pairs), m
 
 
 def test_oracles_import_nothing_from_the_package():

@@ -12,7 +12,8 @@ from lmss.corpus import (connected_graphs, graph_from_key, graph_keys, iter_corp
 from lmss.classifiers import (has_isolated_vertices, is_bipartite, is_c4_free, is_forest,
                               is_triangle_free)
 from lmss.facts import Facts
-from lmss.matching import _alternating_cycles, _count_perfect_matchings_on, count_perfect_matchings
+from lmss.matching import (_alternating_cycles, _count_perfect_matchings_on, count_perfect_matchings,
+                           mu)
 from lmss.graphs import Graph, serialize
 from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting, _stable_sets
 from lmss import theorems
@@ -225,7 +226,7 @@ def test_verify_all_names_every_rule_the_corpus_admits():
     assert plain.passed and coronas.passed
 
 
-def test_th11_stops_at_the_first_perfect_matching_without_p(monkeypatch):
+def test_th11_builds_no_matching(monkeypatch):
     built = []
     post_init = Matching.__post_init__
 
@@ -234,19 +235,31 @@ def test_th11_stops_at_the_first_perfect_matching_without_p(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Matching, "__post_init__", counting)
-    # K6 has 15 perfect matchings and the first already fails property P
+    # th11 reads mu edge by edge, so its work does not grow with the
+    # perfect matchings: K6 has 15, none with property P
     k6 = Facts(complete(6), "K6")
     assert not k6.very_well_covered and count_perfect_matchings(k6.graph) == 15
+    # on a very well-covered graph every perfect matching has P
+    items = [k6] + [Facts(fixture(name), name) for name in ("fig8_G1", "fig8_G3")]
+    assert all(item.very_well_covered for item in items[1:])
     built.clear()
-    assert RULES["th11"].check(k6) == []
-    assert 0 < len(built) < 15
-    # on a very well-covered graph every perfect matching is checked
-    for name in ("fig8_G1", "fig8_G3"):
-        item = Facts(fixture(name), name)
-        assert item.very_well_covered
-        built.clear()
-        assert RULES["th11"].check(item) == []
-        assert len(built) == count_perfect_matchings(item.graph)
+    assert [RULES["th11"].check(item) for item in items] == [[], [], []]
+    assert built == []
+
+
+def test_lem2_and_equiv7_compute_mu_once_per_graph(patch_lmss):
+    # their matchings are the maximum ones, so the square search checks no
+    # size: mu is computed once per graph, by enumerate_maximum_matchings
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return mu(g)
+
+    patch_lmss(mu, counting)
+    summary = verify(CorpusSpec(source="exhaustive", max_n=8, filter="vwc"), ["lem2", "equiv7"])
+    assert summary.passed and [r.checked for r in summary.reports] == [28, 28]
+    assert len(calls) == 28
 
 
 def _th9_details_on_fig1_H():
@@ -363,7 +376,7 @@ FORCED = [
      ["well-covered False, all-parts-complete True"]),
     ("lem1", TRIANGLE_TAIL, {"very_well_covered": True}, None,
      ["matched edge on a chordless cycle [0, 1, 2] under {01,23}"]),
-    ("lem2", K2, {}, ("find_alternating_c4", lambda g, m: (0, 1, 0, 1)),
+    ("lem2", K2, {}, ("_find_alternating_c4", lambda g, m: (0, 1, 0, 1)),
      ["{01}: alternating cycle False, chordless square True"]),
     ("lem3", K2, {"psi": SimpleNamespace(members=[0, 0b01])}, None,
      ["counting and oracle membership split on {1}"]),
@@ -521,6 +534,27 @@ def test_th11_needs_no_isolated_vertex_guard():
     with_isolated = [Graph(g.n + 1, g.adj + (0,)) for n in range(7) for g in nonisomorphic_graphs(n)]
     assert len(with_isolated) == 209
     assert all(_claim("th11")(Facts(g)) == [] for g in with_isolated)
+
+
+def _every_perfect_matching_has_p_by_oracle(g):
+    e = oracles.edges_of(g)
+    pms = oracles.perfect_matchings(g.n, e)
+    return bool(pms) and all(oracles.property_p(g.n, e, m) for m in pms)
+
+
+def test_th11_property_side_agrees_with_the_oracle_on_every_graph_to_seven():
+    # all 1,253 graphs with n <= 7, n = 0 and the disconnected ones included:
+    # seeded with the oracle's verdict, th11 reports nothing exactly when its
+    # mu-per-edge side agrees with walking every perfect matching
+    verdicts = Counter()
+    for n in range(8):
+        for g in nonisomorphic_graphs(n):
+            item = Facts(g)
+            item.__dict__["very_well_covered"] = held = _every_perfect_matching_has_p_by_oracle(g)
+            assert RULES["th11"].check(item) == [], serialize(g)
+            verdicts[held] += 1
+    # True on the empty graph and the 1 + 3 + 8 very well-covered graphs with n = 2, 4, 6
+    assert verdicts == {False: 1240, True: 13}
 
 
 def test_th8_fails_when_very_well_covered_is_weakened(connected_upto_8):
