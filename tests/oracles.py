@@ -244,6 +244,12 @@ def property_p(n, edges, matching):
     return True
 
 
+def every_perfect_matching_has_p(n, edges):
+    """Favaron's right-hand side: a perfect matching exists and each has P."""
+    pms = perfect_matchings(n, edges)
+    return bool(pms) and all(property_p(n, edges, m) for m in pms)
+
+
 def is_bipartite(n, edges):
     adj = adj_sets(n, edges)
     color = {}

@@ -241,10 +241,8 @@ def test_th11_property_side_and_property_p_against_oracle(g):
     # reports nothing exactly when its mu-per-edge side agrees; and
     # check_property_p agrees with the oracle on each of those matchings
     e = oracles.edges_of(g)
-    pms = oracles.perfect_matchings(g.n, e)
     item = Facts(g)
-    item.__dict__["very_well_covered"] = bool(pms) and all(
-        oracles.property_p(g.n, e, m) for m in pms)
+    item.__dict__["very_well_covered"] = oracles.every_perfect_matching_has_p(g.n, e)
     assert RULES["th11"].check(item) == []
     for m in enumerate_perfect_matchings(g):
         pairs = [tuple(x) for x in m.edges]

@@ -536,12 +536,6 @@ def test_th11_needs_no_isolated_vertex_guard():
     assert all(_claim("th11")(Facts(g)) == [] for g in with_isolated)
 
 
-def _every_perfect_matching_has_p_by_oracle(g):
-    e = oracles.edges_of(g)
-    pms = oracles.perfect_matchings(g.n, e)
-    return bool(pms) and all(oracles.property_p(g.n, e, m) for m in pms)
-
-
 def test_th11_property_side_agrees_with_the_oracle_on_every_graph_to_seven():
     # all 1,253 graphs with n <= 7, n = 0 and the disconnected ones included:
     # seeded with the oracle's verdict, th11 reports nothing exactly when its
@@ -550,7 +544,8 @@ def test_th11_property_side_agrees_with_the_oracle_on_every_graph_to_seven():
     for n in range(8):
         for g in nonisomorphic_graphs(n):
             item = Facts(g)
-            item.__dict__["very_well_covered"] = held = _every_perfect_matching_has_p_by_oracle(g)
+            held = oracles.every_perfect_matching_has_p(g.n, oracles.edges_of(g))
+            item.__dict__["very_well_covered"] = held
             assert RULES["th11"].check(item) == [], serialize(g)
             verdicts[held] += 1
     # True on the empty graph and the 1 + 3 + 8 very well-covered graphs with n = 2, 4, 6
