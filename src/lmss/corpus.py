@@ -5,7 +5,7 @@ are the ``CorpusSpec`` fields it reads, with their defaults.  Everything
 else reads that table and ``FILTERS``, so a new source is one entry there.
 
 A corpus item is a ``Facts``: its graph, its name and, for coronas, the
-parts, with every per-graph fact computed on first use.  A filter
+``Facts`` of its parts, with every per-graph fact computed on first use.  A filter
 reads the item, so the fact it decides is the cached one that the rules
 of ``verify`` read next.
 
@@ -23,8 +23,9 @@ the exhaustive source its items, one rebuilt graph at a time.  Every
 source does its shared work when it is called (the catalogue levels, the
 corona bases and parts), so the cap is met before any item; it then
 yields its items one at a time, and ``iter_corpus`` filters them as they
-pass.  So a sweep holds the levels' keys, its own tallies and the item it
-is on; every other item is freed once the sweep moves past it.
+pass.  So a sweep holds the levels' keys, a corona corpus's part
+``Facts``, its own tallies and the item it is on; every other item is
+freed once the sweep moves past it.
 
 The key is the least row-major upper-triangle adjacency key over the
 vertex orders that respect the ordered cells of a leaf of one search tree.
@@ -371,20 +372,21 @@ def random_graphs(count: int, n: int, edge_probability: float, seed: int) -> lis
 
 def corona_family(max_x: int = 3, max_h: int = 3, max_total: int = 12) -> Iterator[Facts]:
     """Every corona with base size <= max_x, part sizes <= max_h, total <= max_total,
-    one at a time."""
+    one at a time.  Each part graph is one ``Facts``, shared by every corona
+    that attaches it, so a part's facts are computed once per corpus."""
     # a base of x vertices takes x parts, so larger bases and parts build no corona
     top_x, top_h = min(max_x, max_total // 2), min(max_h, max_total - 1)
     graph_keys(top_h)  # past the cap this raises at once
     bases = [g for n in range(1, top_x + 1) for g in nonisomorphic_graphs(n)]
-    parts = [g for n in range(1, top_h + 1) for g in nonisomorphic_graphs(n)]
+    parts = [Facts(g) for n in range(1, top_h + 1) for g in nonisomorphic_graphs(n)]
     shapes = ((x, hs) for x in bases for hs in _part_tuples(parts, x.n, max_total - x.n))
     return (
-        Facts(corona(x, hs), f"corona_{i:04d}", parts=hs)
+        Facts(corona(x, [h.graph for h in hs]), f"corona_{i:04d}", parts=hs)
         for i, (x, hs) in enumerate(shapes)
     )
 
 
-def _part_tuples(parts: list[Graph], slots: int, budget: int) -> Iterator[tuple[Graph, ...]]:
+def _part_tuples(parts: list[Facts], slots: int, budget: int) -> Iterator[tuple[Facts, ...]]:
     """The tuples of ``product(parts, repeat=slots)`` whose sizes total at
     most ``budget``, in the product's order, walked depth first.  Parts
     ascend in size, so a slot stops at the first part that leaves fewer
@@ -393,9 +395,10 @@ def _part_tuples(parts: list[Graph], slots: int, budget: int) -> Iterator[tuple[
         yield ()
         return
     for h in parts:
-        if budget - h.n < slots - 1:
+        n = h.graph.n
+        if budget - n < slots - 1:
             break
-        for rest in _part_tuples(parts, slots - 1, budget - h.n):
+        for rest in _part_tuples(parts, slots - 1, budget - n):
             yield (h, *rest)
 
 

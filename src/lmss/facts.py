@@ -37,11 +37,11 @@ class _fact(cached_property):
 
 @dataclass(eq=False)
 class Facts:
-    """One graph, its corpus ``name``, the ``parts`` of a corona, and its facts."""
+    """One graph, its corpus ``name``, the ``Facts`` of a corona's ``parts``, and its facts."""
 
     graph: Graph
     name: str | None = None
-    parts: tuple[Graph, ...] = ()
+    parts: tuple[Facts, ...] = ()
     _pm_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     @_fact

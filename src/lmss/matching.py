@@ -5,7 +5,8 @@ of the subgraph induced by the vertices it saturates; equivalently, when
 the graph has no M-alternating cycle.  The alternating-cycle route is the
 implementation; the enumeration route stays available as an oracle.
 
-Each matching concept has one search.  Two memoised recursions on the
+Each matching concept has one search, except the alternating cycle,
+which has a listing and a decision.  Two memoised recursions on the
 free-vertex mask answer the numeric questions: ``_mu_on`` gives the size
 of a maximum matching and ``_count_perfect_matchings_on`` the number of
 perfect matchings.  One walk, ``_matchings``, pruned by ``_mu_on``, lists
@@ -14,16 +15,25 @@ first perfect one.  The counter only counts, so the check that a unique
 perfect matching is the only one counted shares no code with the walk
 that found it.
 
-Two walks run on masks and build no ``Matching`` or ``AlternatingCycle``:
-``_matching_walk`` yields every matching as (edge pairs, mate array,
-saturated mask), and ``_alternating_cycles`` yields as vertex tuples the
-alternating cycles, for the matching a mate array describes, through the
-seed edges it is given: every cycle when every matched edge is a seed.
-Those objects are built only at the public boundary: ``enumerate_matchings``
-wraps each matching in a validated ``Matching``, ``find_alternating_cycle``
-and ``enumerate_alternating_cycles`` wrap cycles in ``AlternatingCycle``s,
-and ``is_uniquely_restricted`` only asks whether a first cycle exists; all
-three seed every matched edge.  The th9 rule reads both walks directly.
+Three searches run on masks and build no ``Matching`` or
+``AlternatingCycle``.  ``_matching_walk`` yields every matching as (edge
+pairs, mate array, saturated mask).  ``_alternating_cycles`` yields as
+vertex tuples the alternating cycles, for the matching a mate array
+describes, through the seed edges it is given: every cycle when every
+matched edge is a seed.  ``_cycle_free`` decides whether such a cycle
+exists.  The two cycle searches are kept apart on purpose.  The listing
+extends through ascending neighbours, unsaturated ones included, and
+closes a cycle at the seed, so its first cycle is the certificate that
+reports and demos print; that order must stay.  The decision needs no
+order: it steps only onto saturated vertices off the path, keeps no path
+list, and stops at the first end that closes a cycle, so a shared DFS
+would have to branch on its caller.  The objects are built only at the
+public boundary: ``enumerate_matchings`` wraps each matching in a
+validated ``Matching``, and ``find_alternating_cycle`` and
+``enumerate_alternating_cycles`` wrap listed cycles in
+``AlternatingCycle``s; ``is_uniquely_restricted`` runs the decision on
+the matching's saturated mask.  All three seed every matched edge.  The
+th9 rule reads the matching walk and the decision directly.
 
 The unique-perfect-matching question is one search, the
 ``perfect_matching_search`` fact of ``facts.Facts``: the first perfect
@@ -376,9 +386,41 @@ def _alternating_cycles(adj: tuple[int, ...], seeds: tuple[Edge, ...], mate: lis
             rest = adj[w] & ~low
 
 
-def _cycle_free(adj: tuple[int, ...], seeds: tuple[Edge, ...], mate: list[int]) -> bool:
-    """True when no alternating cycle of the matching ``mate`` passes through a seed."""
-    return next(_alternating_cycles(adj, seeds, mate), None) is None
+def _cycle_free(adj: tuple[int, ...], seeds: tuple[Edge, ...], mate: list[int],
+                saturated: int) -> bool:
+    """True when no alternating cycle of the matching ``mate`` passes through a seed.
+
+    ``saturated`` is the mask of matched vertices.  An alternating cycle
+    holds whole matched edges, so from a seed ab the DFS steps from the
+    walk's end only onto saturated vertices u off the path, then along the
+    matched edge u-w, and decides as soon as w is adjacent to a: the cycle
+    closes by the edge w-a, which is not matched, since a's mate is b.  A
+    seed whose a has no saturated neighbour but b closes no cycle.  The
+    stack keeps each earlier end's untried steps with the path's mask, and
+    no path, since nothing is reported.
+    """
+    for a, b in seeds:
+        if not adj[a] & saturated & ~(1 << b):
+            continue
+        onpath = (1 << a) | (1 << b)
+        # rest: untried steps from the walk's end; stack: (rest, onpath) of earlier ends
+        rest = adj[b] & saturated & ~onpath
+        stack: list[tuple[int, int]] = []
+        while True:
+            if not rest:
+                if not stack:
+                    break
+                rest, onpath = stack.pop()
+                continue
+            low = rest & -rest
+            rest ^= low
+            w = mate[low.bit_length() - 1]
+            if adj[w] >> a & 1:
+                return False
+            stack.append((rest, onpath))
+            onpath |= low | (1 << w)
+            rest = adj[w] & saturated & ~onpath
+    return True
 
 
 def _cycle_of(g: Graph, vertices: tuple[int, ...]) -> AlternatingCycle:
@@ -406,7 +448,7 @@ def enumerate_alternating_cycles(g: Graph, m: Matching) -> list[AlternatingCycle
 def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
     """True when m has no alternating cycle (empty matchings vacuously qualify)."""
     _check_matching(g, m)
-    return _cycle_free(g.adj, m.edges, _mate_of(g, m))
+    return _cycle_free(g.adj, m.edges, _mate_of(g, m), m.saturated_bits)
 
 
 def has_unique_perfect_matching(g: Graph) -> tuple[bool, Matching | None]:
@@ -498,14 +540,20 @@ def pm_edge_cycle_exclusion(g: Graph, m: Matching) -> tuple[bool, list[int] | No
 def _pm_edge_cycle_exclusion(g: Graph, m: Matching) -> tuple[bool, list[int] | None]:
     """``pm_edge_cycle_exclusion`` with no check of its preconditions."""
     for x, y in m.edges:
-        common = g.adj[x] & g.adj[y]
-        if common:
-            w = next(bits(common))
-            return False, [x, y, w]
-        long_path = _induced_path(g, x, y, min_edges=4)
-        if long_path is not None:
-            return False, long_path
+        cyc = _chordless_cycle_through(g, x, y)
+        if cyc is not None:
+            return False, cyc
     return True, None
+
+
+def _chordless_cycle_through(g: Graph, x: int, y: int) -> list[int] | None:
+    """A chordless cycle of length 3 or of length 5 and up through the edge
+    xy, as a vertex list from x, else None: a common neighbour first, then
+    an induced path of at least 4 edges."""
+    common = g.adj[x] & g.adj[y]
+    if common:
+        return [x, y, next(bits(common))]
+    return _induced_path(g, x, y, min_edges=4)
 
 
 def _induced_path(g: Graph, x: int, y: int, min_edges: int) -> list[int] | None:

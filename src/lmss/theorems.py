@@ -21,16 +21,18 @@ uniquely-restricted test (th9, th22, equiv7).  That count shares no code
 with the alternating-cycle search it is compared with.
 
 th9 reads the matching walk itself: for every matching it runs both
-routes on the walk's masks, the alternating-cycle walk on the mate array
-and the count on the saturated mask, and builds a ``Matching`` only to
-describe a violation.  The walk is a DFS, so each matching's parent (it
-minus its newest edge) is the latest matching one edge smaller; when the
-parent is cycle-free, the cycle walk starts at the newest edge alone.
+routes on the walk's masks, the alternating-cycle decision ``_cycle_free``
+on the mate array and saturated mask, and the count on the saturated
+mask, and builds a ``Matching`` only to describe a violation.  The walk is
+a DFS, so each matching's parent (it minus its newest edge) is the latest
+matching one edge smaller; when the parent is cycle-free, the decision
+starts at the newest edge alone.
 th4 reads alpha(G - uv) on a mask of G, through one memo per graph, and
 finds mu(G - uv) < mu(G) exactly for the edges common to every maximum
 matching.  th11 builds no perfect matching: it reads one ``_mu_on`` memo
 edge by edge, mu(G) and mu(G - x - y) for each edge xy without property P.
-lem1 reads the perfect matchings among the maximum ones.  lem2 and equiv7
+lem1 reads the perfect matchings among the maximum ones and searches
+each of their edges once for a chordless cycle.  lem2 and equiv7
 run the square search unchecked, on matchings maximum by construction.
 """
 
@@ -39,16 +41,16 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .graphs import UsageError, VertexSet, bits, serialize
-from .stability import _alpha_on, _chain_grows, _psi_member_counting, psi_enumerate
+from .graphs import Edge, UsageError, VertexSet, bits, serialize
+from .stability import _alpha_on, _chain_grows, _psi_member_counting
 from .matching import (
     Matching,
+    _chordless_cycle_through,
     _cycle_free,
     _edge_has_p,
     _find_alternating_c4,
     _matching_walk,
     _mu_on,
-    _pm_edge_cycle_exclusion,
     is_uniquely_restricted,
 )
 from .classifiers import (
@@ -60,7 +62,6 @@ from .classifiers import (
 )
 from .corpus import CorpusSpec, iter_corpus
 from .facts import Facts
-from .greedoid import is_greedoid
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def _check_th9(item: Facts) -> list[str]:
     free = [True]
     for pairs, mate, saturated in _matching_walk(g):
         d = len(pairs)
-        by_cycle = _cycle_free(g.adj, pairs[-1:] if free[d - 1] else pairs, mate)
+        by_cycle = _cycle_free(g.adj, pairs[-1:] if free[d - 1] else pairs, mate, saturated)
         free[d:] = (by_cycle,)
         by_count = item.unique_pm_on(saturated)
         if by_cycle != by_count:
@@ -177,7 +178,7 @@ def _check_th9(item: Facts) -> list[str]:
 
 def _check_th10iv(item: Facts) -> list[str]:
     return _iff("corona verdict", item.greedoid, "attached-part verdict",
-                all(is_greedoid(psi_enumerate(h)) for h in item.parts))
+                all(h.greedoid for h in item.parts))
 
 
 def _check_th11(item: Facts) -> list[str]:
@@ -220,18 +221,26 @@ def _check_th88iii(item: Facts) -> list[str]:
 
 def _check_th88iv(item: Facts) -> list[str]:
     return _iff("well-covered", item.well_covered, "all-parts-complete",
-                all(2 * h.edge_count == h.n * (h.n - 1) for h in item.parts))
+                all(2 * h.graph.edge_count == h.graph.n * (h.graph.n - 1) for h in item.parts))
 
 
 def _check_lem1(item: Facts) -> list[str]:
+    """The claim is per edge, so each perfect-matching edge is searched once,
+    however many perfect matchings hold it; a matching reports its first
+    edge on a chordless cycle."""
+    g = item.graph
+    cycles: dict[Edge, list[int] | None] = {}
     out = []
     # the maximum matchings are all perfect or, with no perfect matching, none is
     for m in item.maximum_matchings:
         if not m.is_perfect():
             break
-        ok, cyc = _pm_edge_cycle_exclusion(item.graph, m)
-        if not ok:
-            out.append(f"matched edge on a chordless cycle {cyc} under {m!r}")
+        for e in m.edges:
+            if e not in cycles:
+                cycles[e] = _chordless_cycle_through(g, *e)
+            if cycles[e] is not None:
+                out.append(f"matched edge on a chordless cycle {cycles[e]} under {m!r}")
+                break
     return out
 
 

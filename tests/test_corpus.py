@@ -151,7 +151,7 @@ def test_corona_family_shape():
     assert len(items) == 1 * 7 + 2 * 7**2 + 4 * 7**3
     for it in items[:50]:
         # a base of x vertices takes x parts
-        assert it.graph.n == len(it.parts) + sum(h.n for h in it.parts)
+        assert it.graph.n == len(it.parts) + sum(h.graph.n for h in it.parts)
 
 
 def test_corona_family_max_total_prunes():
@@ -189,7 +189,7 @@ def test_corona_family_walks_the_fitting_part_tuples_in_product_order(max_x, max
         if x.n + sum(h.n for h in hs) <= max_total
     ]
     items = list(corona_family(max_x, max_h, max_total))
-    assert [it.parts for it in items] == [hs for _, hs in shapes]
+    assert [tuple(h.graph for h in it.parts) for it in items] == [hs for _, hs in shapes]
     assert [it.name for it in items] == [f"corona_{i:04d}" for i in range(len(shapes))]
     assert [it.graph for it in items] == [corona(x, hs) for x, hs in shapes]
 

@@ -12,8 +12,8 @@ from lmss.corpus import (connected_graphs, graph_from_key, graph_keys, iter_corp
 from lmss.classifiers import (has_isolated_vertices, is_bipartite, is_c4_free, is_forest,
                               is_triangle_free)
 from lmss.facts import Facts
-from lmss.matching import (_alternating_cycles, _count_perfect_matchings_on, count_perfect_matchings,
-                           mu)
+from lmss.matching import (_count_perfect_matchings_on, _cycle_free, _induced_path,
+                           count_perfect_matchings, mu)
 from lmss.graphs import Graph, serialize
 from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting, _stable_sets
 from lmss import theorems
@@ -49,11 +49,11 @@ def test_verify_rejects_unknown_rule_and_wrong_corpus():
 
 def test_corona_rules_on_nontrivial_parts():
     # attached parts with a non-greedoid family force the corona verdict down
-    wheel_item = Facts(corona(complete(1), [cycle(4)]), "w", parts=(cycle(4),))
+    wheel_item = Facts(corona(complete(1), [cycle(4)]), "w", parts=(Facts(cycle(4)),))
     assert _check_th10iv(wheel_item) == []  # the rule holds: both sides are False
     from lmss import psi_is_greedoid
     assert not psi_is_greedoid(wheel_item.graph).holds
-    good = Facts(corona(complete(1), [complete(3)]), "k", parts=(complete(3),))
+    good = Facts(corona(complete(1), [complete(3)]), "k", parts=(Facts(complete(3)),))
     assert _check_th10iv(good) == []
     assert psi_is_greedoid(good.graph).holds
 
@@ -262,6 +262,21 @@ def test_lem2_and_equiv7_compute_mu_once_per_graph(patch_lmss):
     assert len(calls) == 28
 
 
+def test_lem1_searches_each_perfect_matching_edge_once(patch_lmss):
+    # the 28 graphs hold 71 maximum matchings, all perfect, over 142
+    # distinct edges; each edge is searched once however many hold it
+    calls = []
+
+    def counting(g, x, y, min_edges):
+        calls.append((g, x, y))
+        return _induced_path(g, x, y, min_edges)
+
+    patch_lmss(_induced_path, counting)
+    summary = verify(CorpusSpec(source="exhaustive", max_n=8, filter="vwc"), ["lem1"])
+    assert summary.passed and summary.reports[0].checked == 28
+    assert len(calls) == len(set(calls)) == 142
+
+
 def _th9_details_on_fig1_H():
     summary = verify(CorpusSpec(source="fixtures", fixtures=("fig1_H",)), ["th9"])
     return [v.detail for v in summary.reports[0].violations]
@@ -295,13 +310,12 @@ def test_th9_runs_the_cycle_route_on_every_matching(patch_lmss):
     g = fixture("fig1_H")
     target = Matching.of(g, ("u", "v"), ("t", "x"))
 
-    def lying(adj, seeds, mate):
+    def lying(adj, seeds, mate, saturated):
         if _matching_of_mate(mate) == target.edges:
-            yield (0, 1, 2, 3)
-        else:
-            yield from _alternating_cycles(adj, seeds, mate)
+            return False
+        return _cycle_free(adj, seeds, mate, saturated)
 
-    patch_lmss(_alternating_cycles, lying)
+    patch_lmss(_cycle_free, lying)
     assert _th9_details_on_fig1_H() == [
         f"{target!r}: alternating-cycle route False, enumeration True"
     ]
@@ -314,11 +328,11 @@ def test_th9_seeds_the_newest_edge_exactly_below_a_cycle_free_parent(patch_lmss)
     edges = oracles.edges_of(g)
     calls = []
 
-    def recording(adj, seeds, mate):
+    def recording(adj, seeds, mate, saturated):
         calls.append((tuple(seeds), _matching_of_mate(mate)))
-        return _alternating_cycles(adj, seeds, mate)
+        return _cycle_free(adj, seeds, mate, saturated)
 
-    patch_lmss(_alternating_cycles, recording)
+    patch_lmss(_cycle_free, recording)
     assert _th9_details_on_fig1_H() == []
     assert Counter(frozenset(m) for _, m in calls) == Counter(oracles.all_matchings(edges))
     newest_only = 0
@@ -402,7 +416,7 @@ def test_verify_attributes_each_forced_violation_to_its_rule_and_graph(
     from lmss import theorems
 
     rule = RULES[name]
-    parts = dict(parts=(K1,)) if rule.needs_corona else {}
+    parts = dict(parts=(Facts(K1),)) if rule.needs_corona else {}
     # on the graph's own facts the routes agree
     assert rule.check(Facts(graph, "forced", **parts)) == []
     item = Facts(graph, "forced", **parts)
