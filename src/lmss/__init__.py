@@ -39,13 +39,11 @@ from .fixtures import fixture, fixture_names, named_edges
 from .stability import (
     StableSetFamily,
     alpha,
-    check_chain_growth,
     extends_to_maximum,
     is_stable,
     omega_enumerate,
     psi_enumerate,
     psi_member_oracle,
-    psi_member_vwc,
 )
 from .matching import (
     AlternatingCycle,
@@ -61,7 +59,6 @@ from .matching import (
     has_unique_perfect_matching,
     is_uniquely_restricted,
     mu,
-    pm_edge_cycle_exclusion,
 )
 from .classifiers import (
     has_isolated_vertices,

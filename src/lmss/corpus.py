@@ -79,7 +79,7 @@ from math import factorial
 from typing import NamedTuple
 
 from . import classifiers
-from .graphs import MAX_VERTICES, Graph, UsageError, bits, corona, is_connected
+from .graphs import MAX_VERTICES, CapacityError, Graph, UsageError, bits, corona, is_connected
 from .facts import Facts
 from .fixtures import fixture
 
@@ -326,6 +326,8 @@ def _augment(parents: tuple[int, ...], n: int, masks: range | list[int]) -> tupl
 @lru_cache(maxsize=None)
 def graph_keys(n: int) -> tuple[int, ...]:
     """The canonical keys of all graphs on n vertices up to isomorphism, ascending."""
+    if n < 0:
+        raise UsageError(f"n must be at least 0, got {n}")
     if n > EXHAUSTIVE_LIMIT:
         raise UsageError(f"exhaustive generation is capped at n = {EXHAUSTIVE_LIMIT}")
     if n == 0:
@@ -337,6 +339,10 @@ def graph_keys(n: int) -> tuple[int, ...]:
 def tree_keys(n: int) -> tuple[int, ...]:
     """The canonical keys of all trees on n vertices up to isomorphism, ascending,
     grown by leaf attachment."""
+    if n < 0:
+        raise UsageError(f"n must be at least 0, got {n}")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"tree would have {n} > {MAX_VERTICES} vertices")
     if n == 0:
         return ()
     if n == 1:

@@ -520,36 +520,11 @@ def _edge_has_p(adj: tuple[int, ...], x: int, y: int) -> bool:
     return True
 
 
-def pm_edge_cycle_exclusion(g: Graph, m: Matching) -> tuple[bool, list[int] | None]:
-    """No perfect-matching edge of a very well-covered graph lies on a
-    chordless cycle of length 3 or of length 5 and up.
-
-    Exists to be property-tested: returns the verdict plus a counterexample
-    cycle (as a vertex list) should one ever appear.
-    """
-    _check_matching(g, m)
-    if not m.is_perfect():
-        raise UsageError("pm_edge_cycle_exclusion needs a perfect matching")
-    from .classifiers import is_very_well_covered
-
-    if not is_very_well_covered(g):
-        raise UsageError("pm_edge_cycle_exclusion needs a very well-covered graph")
-    return _pm_edge_cycle_exclusion(g, m)
-
-
-def _pm_edge_cycle_exclusion(g: Graph, m: Matching) -> tuple[bool, list[int] | None]:
-    """``pm_edge_cycle_exclusion`` with no check of its preconditions."""
-    for x, y in m.edges:
-        cyc = _chordless_cycle_through(g, x, y)
-        if cyc is not None:
-            return False, cyc
-    return True, None
-
-
 def _chordless_cycle_through(g: Graph, x: int, y: int) -> list[int] | None:
     """A chordless cycle of length 3 or of length 5 and up through the edge
     xy, as a vertex list from x, else None: a common neighbour first, then
-    an induced path of at least 4 edges."""
+    an induced path of at least 4 edges.  In a very well-covered graph no
+    perfect-matching edge has one; rule lem1 checks that edge by edge."""
     common = g.adj[x] & g.adj[y]
     if common:
         return [x, y, next(bits(common))]
@@ -561,7 +536,7 @@ def _induced_path(g: Graph, x: int, y: int, min_edges: int) -> list[int] | None:
     adjacency is the edge xy itself, else None.
 
     Closing such a path with the edge xy yields a chordless cycle, which is
-    what the exclusion check is after.
+    what ``_chordless_cycle_through`` is after.
     """
 
     def dfs(path, onpath):

@@ -22,10 +22,8 @@ Each family is a ``StableSetFamily``: a ``SetSystem`` whose ground set is
 the graph's vertices.  It is validated once, when it is built, and the
 greedoid axiom checks read it as it is.
 
-The counting shortcut |S| = |N(S)| the paper licenses for very
-well-covered graphs lives only in ``psi_member_vwc``, the growth test in
-``check_chain_growth``; rules lem3 and lem65 read their unchecked forms,
-and they and the test suite check both against the definition.
+Rules lem3 and lem65 check the paper's two shortcuts for very well-covered
+graphs, ``_psi_member_counting`` and ``_chain_grows``, against psi.
 """
 
 from __future__ import annotations
@@ -169,23 +167,9 @@ def _psi_member_bits(g: Graph, mask: int) -> bool:
     return mask.bit_count() == _alpha_on(g, closed_neighborhood_bits(g, mask), {})
 
 
-def psi_member_vwc(g: Graph, s: VertexSet) -> bool:
-    """Fast membership for very well-covered graphs: |S| = |N(S)|.
-
-    Raises when s is not stable or g is not very well-covered.
-    """
-    mask = require_member(g, s)
-    if not is_stable_bits(g, mask):
-        raise UsageError("psi_member_vwc needs a stable set")
-    from .classifiers import is_very_well_covered
-
-    if not is_very_well_covered(g):
-        raise UsageError("psi_member_vwc needs a very well-covered graph")
-    return _psi_member_counting(g, mask)
-
-
 def _psi_member_counting(g: Graph, mask: int) -> bool:
-    """``psi_member_vwc`` on a mask, with no check of its preconditions."""
+    """In a very well-covered graph, the stable set S = ``mask`` is in psi
+    exactly when |S| = |N(S)|.  Rule lem3 checks it against psi."""
     return mask.bit_count() == neighborhood_bits(g, mask).bit_count()
 
 
@@ -210,30 +194,10 @@ def extends_to_maximum(g: Graph, s: VertexSet) -> VertexSet | None:
     return None
 
 
-def check_chain_growth(g: Graph, b: VertexSet, v: int | str) -> bool:
-    """One-vertex growth test for chains in a very well-covered graph.
-
-    With b a local maximum stable set and a = b + {v} stable, a is again a
-    local maximum stable set exactly when |N(a)| = |N(b)| + 1.
-    """
-    bmask = require_member(g, b)
-    vi = g.vertex(v)
-    if bmask >> vi & 1:
-        raise UsageError("vertex already in the base set")
-    amask = bmask | 1 << vi
-    if not is_stable_bits(g, amask):
-        raise UsageError("extended set is not stable")
-    if not _psi_member_bits(g, bmask):
-        raise UsageError("base set is not a local maximum stable set")
-    from .classifiers import is_very_well_covered
-
-    if not is_very_well_covered(g):
-        raise UsageError("check_chain_growth needs a very well-covered graph")
-    return _chain_grows(g, bmask, amask)
-
-
 def _chain_grows(g: Graph, bmask: int, amask: int) -> bool:
-    """``check_chain_growth`` on masks, with no check of its preconditions."""
+    """In a very well-covered graph, with B = ``bmask`` in psi and the
+    stable set A = ``amask`` B plus one vertex, A is in psi exactly when
+    |N(A)| = |N(B)| + 1.  Rule lem65 checks it against psi."""
     return (
         neighborhood_bits(g, amask).bit_count()
         == neighborhood_bits(g, bmask).bit_count() + 1

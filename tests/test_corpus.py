@@ -11,6 +11,7 @@ from itertools import combinations, product
 import pytest
 
 from lmss import (
+    CapacityError,
     CorpusSpec,
     Graph,
     UsageError,
@@ -27,7 +28,7 @@ from lmss import (
     nonisomorphic_trees,
     random_graphs,
 )
-from lmss.corpus import graph_from_key, graph_keys
+from lmss.corpus import graph_from_key, graph_keys, tree_keys
 
 # published counts of graphs up to isomorphism, used as generation oracles
 ALL_GRAPHS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -304,6 +305,20 @@ def test_exhaustive_cap():
     # the source meets the cap when it is called, before it generates any level
     with pytest.raises(UsageError, match="capped at n = 9"):
         iter_corpus(CorpusSpec(source="exhaustive", max_n=10))
+
+
+def test_generators_check_n_before_they_recurse():
+    for generate in (graph_keys, tree_keys, nonisomorphic_graphs, connected_graphs,
+                     nonisomorphic_trees):
+        with pytest.raises(UsageError, match="at least 0"):
+            generate(-1)
+    # past the capacity no tree level is grown, cached or read: the one call
+    # to tree_keys is the call for n = 17 itself
+    before = tree_keys.cache_info()
+    with pytest.raises(CapacityError):
+        tree_keys(17)
+    after = tree_keys.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
 
 
 @pytest.mark.slow

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from lmss import (
+    RULES,
     AlternatingCycle,
     Edge,
     Matching,
@@ -9,6 +10,7 @@ from lmss import (
     UsageError,
     check_property_p,
     complete,
+    corona,
     count_perfect_matchings,
     cycle,
     enumerate_alternating_cycles,
@@ -21,15 +23,15 @@ from lmss import (
     is_uniquely_restricted,
     mu,
     path,
-    pm_edge_cycle_exclusion,
     random_graphs,
     serialize,
 )
 from lmss.corpus import connected_graphs, nonisomorphic_graphs
+from lmss.facts import Facts
 from lmss.fixtures import fixture, fixture_names, named_edges
 from lmss.graphs import induced_subgraph
-from lmss.matching import (_alternating_cycles, _count_perfect_matchings_on, _cycle_free,
-                           _matching_walk, _pm_edge_cycle_exclusion)
+from lmss.matching import (_alternating_cycles, _chordless_cycle_through,
+                           _count_perfect_matchings_on, _cycle_free, _matching_walk)
 
 
 def matching_by_names(name, *pairs):
@@ -320,20 +322,11 @@ def test_property_p_against_oracle():
 
 
 def test_pm_edge_cycle_exclusion():
-    g = fixture("fig8_G1")
-    ok, cyc = pm_edge_cycle_exclusion(g, has_unique_perfect_matching(g)[1])
-    assert ok and cyc is None
-
-    k2 = complete(2)
-    assert pm_edge_cycle_exclusion(k2, Matching.of(k2, (0, 1))) == (True, None)
-
-    from lmss import corona, complete as K
-    c = corona(path(4), [K(1)] * 4)
-    for m in enumerate_perfect_matchings(c):
-        assert pm_edge_cycle_exclusion(c, m) == (True, None)
-
-    with pytest.raises(UsageError):
-        pm_edge_cycle_exclusion(fixture("fig10_G"), has_unique_perfect_matching(fixture("fig10_G"))[1])
+    # lemma 1 on very well-covered graphs, through the rule that checks it
+    for g in (fixture("fig8_G1"), complete(2), corona(path(4), [complete(1)] * 4)):
+        item = Facts(g)
+        assert item.very_well_covered and item.maximum_matchings[0].is_perfect()
+        assert RULES["lem1"].check(item) == []
 
 
 def _exclusion_agrees_with_oracle(g, m):
@@ -341,10 +334,11 @@ def _exclusion_agrees_with_oracle(g, m):
     returned cycle runs through the first matched edge the oracle flags, is
     chordless and is not a square.  Returns the cycle's length, or 0."""
     edges = oracles.edges_of(g)
-    ok, cyc = _pm_edge_cycle_exclusion(g, m)
+    cycles = (_chordless_cycle_through(g, *e) for e in m.edges)
+    cyc = next((c for c in cycles if c is not None), None)
     flagged = [e for e in m.edges if oracles.on_chordless_cycle_not_square(g.n, edges, *e)]
-    assert ok == (not flagged) and (cyc is None) == ok, (serialize(g), m)
-    if ok:
+    assert (cyc is None) == (not flagged), (serialize(g), m)
+    if cyc is None:
         return 0
     adj = oracles.adj_sets(g.n, edges)
     assert len(set(cyc)) == len(cyc) != 4 and oracles.induces_cycle(adj, set(cyc))

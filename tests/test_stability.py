@@ -10,7 +10,6 @@ from lmss import (
     UsageError,
     VertexSet,
     alpha,
-    check_chain_growth,
     complete,
     cycle,
     empty_graph,
@@ -20,10 +19,9 @@ from lmss import (
     path,
     psi_enumerate,
     psi_member_oracle,
-    psi_member_vwc,
 )
 from lmss.fixtures import fixture
-from lmss.stability import _alpha_on
+from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting
 
 
 def fam_as_sets(family):
@@ -95,17 +93,14 @@ def test_psi_member_oracle_fig3_H():
 
 
 def test_psi_member_vwc():
+    # the counting shortcut |S| = |N(S)|
     g = fixture("fig6_G1")
-    assert psi_member_vwc(g, g.set_of("b", "e"))
-    assert not psi_member_vwc(g, g.set_of("b", "d"))
+    assert _psi_member_counting(g, g.set_of("b", "e").bits)
+    assert not _psi_member_counting(g, g.set_of("b", "d").bits)
     f8 = fixture("fig8_G1")
-    assert psi_member_vwc(f8, f8.set_of("p1"))  # pendant
+    assert _psi_member_counting(f8, f8.set_of("p1").bits)  # pendant
     c4 = cycle(4)
-    assert not psi_member_vwc(c4, c4.set_of(0))
-    with pytest.raises(UsageError):
-        psi_member_vwc(c4, c4.set_of(0, 1))  # not stable
-    with pytest.raises(UsageError):
-        psi_member_vwc(complete(3), complete(3).set_of(0))  # not very well-covered
+    assert not _psi_member_counting(c4, c4.set_of(0).bits)
 
 
 def test_psi_member_vwc_matches_oracle_on_vwc_fixtures():
@@ -115,7 +110,7 @@ def test_psi_member_vwc_matches_oracle_on_vwc_fixtures():
             s = VertexSet(g, mask)
             if not is_stable(g, s):
                 continue
-            assert psi_member_vwc(g, s) == psi_member_oracle(g, s), (name, mask)
+            assert _psi_member_counting(g, mask) == psi_member_oracle(g, s), (name, mask)
 
 
 def test_psi_enumerate_examples():
@@ -192,30 +187,23 @@ def test_extends_always_succeeds_for_members(connected_upto_6):
 
 
 def test_check_chain_growth():
+    # the growth shortcut |N(A)| = |N(B)| + 1
     g = fixture("fig6_G1")
-    assert check_chain_growth(g, g.set_of("b"), "a")
+    assert _chain_grows(g, g.set_of("b").bits, g.set_of("b", "a").bits)
     f8 = fixture("fig8_G1")
-    assert check_chain_growth(f8, f8.set_of("p1"), "q1")
-    with pytest.raises(UsageError):
-        check_chain_growth(cycle(4), cycle(4).set_of(0), 2)  # base not locally maximum
-    with pytest.raises(UsageError):
-        check_chain_growth(f8, f8.set_of("p1"), "p1")  # vertex already present
-    with pytest.raises(UsageError):
-        check_chain_growth(f8, f8.set_of("p1"), "p2")  # extension not stable
-    with pytest.raises(UsageError):
-        check_chain_growth(complete(3), complete(3).set_of(0), 1)  # not very well-covered
+    assert _chain_grows(f8, f8.set_of("p1").bits, f8.set_of("p1", "q1").bits)
 
 
 def test_vwc_preconditions_hold_under_python_O():
-    # the very-well-covered checks are not assertions: -O keeps them
+    # the precondition checks are not assertions: -O keeps them
     script = """
-from lmss import UsageError, check_chain_growth, fixture, path
-from lmss import has_unique_perfect_matching, pm_edge_cycle_exclusion, psi_member_vwc
-g, p3 = fixture("fig10_G"), path(3)
+from lmss import Matching, UsageError, check_property_p, find_alternating_c4, fixture
+from lmss import matching_from_chains
+g = fixture("fig10_G")
 calls = [
-    lambda: psi_member_vwc(g, g.set_of("a")),
-    lambda: check_chain_growth(p3, p3.set_of(0), 2),
-    lambda: pm_edge_cycle_exclusion(g, has_unique_perfect_matching(g)[1]),
+    lambda: matching_from_chains(g),  # not very well-covered
+    lambda: find_alternating_c4(g, Matching(g, ())),  # not maximum
+    lambda: check_property_p(g, Matching(g, ())),  # not perfect
 ]
 for call in calls:
     try:
@@ -238,4 +226,4 @@ def test_chain_growth_agrees_with_oracle_on_vwc_fixtures():
                 a = b.with_vertex(v)
                 if not is_stable(g, a):
                     continue
-                assert check_chain_growth(g, b, v) == psi_member_oracle(g, a)
+                assert _chain_grows(g, b.bits, a.bits) == psi_member_oracle(g, a)

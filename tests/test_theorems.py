@@ -107,12 +107,12 @@ def test_verify_computes_well_covered_once_per_item(patch_lmss):
     assert verify(spec, ["th8", "th3", "th88iii"]).passed
     assert calls == [item.graph for item in iter_corpus(spec)]
     # the filter asks very-well-coveredness of every graph, and the rules
-    # read its verdict on the 28 survivors; the catalogue's graphs are
-    # pairwise distinct, so each is asked once
+    # read its verdict on the 28 survivors, lem3 and lem65 their psi too;
+    # the catalogue's graphs are pairwise distinct, so each is walked once
     calls.clear()
     vwc = CorpusSpec(source="exhaustive", max_n=8, filter="vwc")
-    summary = verify(vwc, ["th8", "th3", "th88iii"])
-    assert summary.passed and summary.reports[0].checked == 28
+    summary = verify(vwc, ["th8", "th3", "th88iii", "lem3", "lem65"])
+    assert summary.passed and [r.checked for r in summary.reports] == [28] * 5
     assert len(calls) == len(set(calls))
 
 
