@@ -6,9 +6,9 @@ is dropped with the item.  ``report.analyze_graph`` builds one for its
 graph.  So no cache outlives its graph.  A fact calls its function
 through this module's name for it, so a tracer or a test that rebinds the
 name reaches the call.  Each derived fact (well-covered, psi, ...) is
-defined here, on this graph's alpha and stable-set walk, and so is the
-unique-perfect-matching search; the public function of the same fact
-returns ``Facts(g)``'s value.
+defined here, on this graph's one alpha memo and one stable-set walk, and
+so is the unique-perfect-matching search; the public function of the same
+fact returns ``Facts(g)``'s value.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ class Facts:
     graph: Graph
     name: str | None = None
     parts: tuple[Facts, ...] = ()
+    _alpha_memo: dict[int, int] = field(default_factory=dict, init=False, repr=False)
     _pm_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     @_fact
     def alpha(self) -> int:
-        return alpha(self.graph)
+        return alpha(self.graph, self._alpha_memo)
 
     @_fact
     def mu(self) -> int:
@@ -80,9 +81,8 @@ class Facts:
 
     @_fact
     def psi(self) -> StableSetFamily:
-        """The walk's S with |S| = alpha(G[N[S]]), through one alpha memo."""
-        g = self.graph
-        memo: dict[int, int] = {}
+        """The walk's S with |S| = alpha(G[N[S]]), through the graph's alpha memo."""
+        g, memo = self.graph, self._alpha_memo
         return StableSetFamily(g.n, tuple(
             s for s, c in self.stable_sets if s.bit_count() == _alpha_on(g, c, memo)), g)
 

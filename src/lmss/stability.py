@@ -16,7 +16,7 @@ lists each stable set S together with N[S], in ascending mask order:
   N[S] = V.
 
 ``facts.Facts`` defines psi and the maximum stable sets on one walk and one
-alpha per graph; ``psi_enumerate`` and ``omega_enumerate`` read them there.
+alpha memo per graph; ``psi_enumerate`` and ``omega_enumerate`` read them there.
 
 Each family is a ``StableSetFamily``: a ``SetSystem`` whose ground set is
 the graph's vertices.  It is validated once, when it is built, and the
@@ -101,9 +101,13 @@ def is_stable_bits(g: Graph, mask: int) -> bool:
     return True
 
 
-def alpha(g: Graph) -> int:
-    """Stability number: maximum cardinality of a stable set (0 for the empty graph)."""
-    return _alpha_on(g, g.full_mask, {})
+def alpha(g: Graph, memo: dict[int, int] | None = None) -> int:
+    """Stability number: maximum cardinality of a stable set (0 for the empty graph).
+
+    ``memo`` is an ``_alpha_on`` memo of g to read and fill; ``Facts``
+    shares one between alpha and psi.
+    """
+    return _alpha_on(g, g.full_mask, {} if memo is None else memo)
 
 
 @dataclass(frozen=True)

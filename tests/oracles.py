@@ -232,6 +232,44 @@ def is_greedoid(family):
     return True
 
 
+def psi_witness_problems(n, edges, report):
+    """Check the psi witnesses of an ``analyze`` JSON report against the
+    definition, through ``psi_member`` alone; return what fails, as text.
+
+    A false ``accessibility`` needs an ``inaccessible_member``: a non-empty
+    S in psi with no S - v in psi.  A false ``exchange`` needs an
+    ``exchange_violation``: X and Y in psi with |X| = |Y| + 1 and no Y + x,
+    for x in X - Y, in psi.  A true verdict carries neither.
+    """
+    def member(s):
+        return psi_member(n, edges, s)
+
+    predicates, certificates = report["predicates"], report["certificates"]
+    problems = []
+    s = certificates.get("inaccessible_member")
+    if predicates["accessibility"]:
+        if s is not None:
+            problems.append("accessible family carries an inaccessible member")
+    elif s is None:
+        problems.append("accessibility fails without an inaccessible member")
+    else:
+        s = frozenset(s)
+        if not s or not member(s) or any(member(s - {v}) for v in s):
+            problems.append(f"inaccessible member {sorted(s)} is no witness")
+    pair = certificates.get("exchange_violation")
+    if predicates["exchange"]:
+        if pair is not None:
+            problems.append("exchange holds but a violation is given")
+    elif pair is None:
+        problems.append("exchange fails without a violating pair")
+    else:
+        x, y = frozenset(pair["x"]), frozenset(pair["y"])
+        if (len(x) != len(y) + 1 or not member(x) or not member(y)
+                or any(member(y | {v}) for v in x - y)):
+            problems.append(f"exchange pair {sorted(x)}, {sorted(y)} is no witness")
+    return problems
+
+
 def property_p(n, edges, matching):
     adj = adj_sets(n, edges)
     for x, y in matching:

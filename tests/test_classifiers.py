@@ -48,7 +48,7 @@ def test_very_well_covered_skips_alpha_on_odd_n_or_an_isolated_vertex(patch_lmss
 
     original = lmss.stability.alpha
     calls = []
-    patch_lmss(original, lambda g: calls.append(g) or original(g))
+    patch_lmss(original, lambda g, *memo: calls.append(g) or original(g, *memo))
     for g in (path(5), complete(3), empty_graph(2)):
         assert not is_very_well_covered(g) and not Facts(g).very_well_covered
     assert calls == []

@@ -155,6 +155,14 @@ def test_corona_family_shape():
         assert it.graph.n == len(it.parts) + sum(h.graph.n for h in it.parts)
 
 
+def test_default_coronas_fall_into_623_isomorphism_classes():
+    # an automorphism of the base permutes the part tuple, so distinct
+    # tuples can give isomorphic coronas; the corpus keeps every tuple
+    items = list(corona_family())
+    classes = {(it.graph.n, canonical_key(it.graph)) for it in items}
+    assert (len(items), len(classes)) == (1477, 623)
+
+
 def test_corona_family_max_total_prunes():
     full = list(corona_family(2, 2))
     pruned = list(corona_family(2, 2, 4))

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from lmss import (
+    Graph,
     Matching,
     SetSystem,
     VertexSet,
@@ -55,6 +56,37 @@ def test_check_exchange():
     bad = SetSystem(3, (0, 1, 6))
     ok, pair = check_exchange(bad)
     assert not ok and pair == (6, 1)
+
+
+def _first_failing_pair(ys, xs, family):
+    """The pair scan of one level, from the definition: x-outer, y-inner,
+    ascending, the first pair where no v in X-Y puts Y+{v} in the family."""
+    for x in xs:
+        for y in ys:
+            donors = [v for v in range(16) if x >> v & 1 and not y >> v & 1]
+            if not any(y | 1 << v in family for v in donors):
+                return x, y
+    return None
+
+
+def test_exchange_on_psi_of_the_star_k1_15():
+    # psi(K1,15) is every set of leaves: 2^15 members whose middle levels
+    # go to the subset lattice
+    star = Graph.from_edges(16, [(0, leaf) for leaf in range(1, 16)])
+    psi = psi_enumerate(star)
+    assert len(psi) == 1 << 15 and check_exchange(psi) == (True, None)
+    levels = {k: [m for m in psi.members if m.bit_count() == k] for k in (7, 8)}
+    # one gap in a full lattice never breaks exchange: Y+{v} is missing for
+    # one v at most, and only when X = Y+{v} is the gap itself
+    gap = levels[8][100]
+    assert check_exchange(SetSystem(16, tuple(m for m in psi.members if m != gap))) == (True, None)
+    # dropping the eight 8-sets over one 7-set of leaves strands that 7-set
+    stranded = levels[7][100]
+    members = tuple(m for m in psi.members if m & stranded != stranded or m == stranded)
+    xs = [m for m in members if m.bit_count() == 8]
+    assert len(xs) == len(levels[8]) - 8
+    pair = _first_failing_pair(levels[7], xs, set(members))
+    assert pair is not None and check_exchange(SetSystem(16, members)) == (False, pair)
 
 
 def test_is_greedoid_verdicts():
@@ -183,7 +215,8 @@ def _count_walks_and_alpha(patch_lmss):
     calls = []
     for name in ("_stable_sets", "alpha"):
         original = getattr(lmss.stability, name)
-        patch_lmss(original, lambda g, name=name, original=original: calls.append(name) or original(g))
+        patch_lmss(original, lambda g, *memo, name=name, original=original:
+                   calls.append(name) or original(g, *memo))
     return calls
 
 

@@ -5,7 +5,7 @@ import ast
 import random
 from pathlib import Path
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from lmss import (
@@ -43,6 +43,7 @@ from lmss import (
 )
 from lmss.corpus import nonisomorphic_graphs
 from lmss.facts import Facts
+from lmss.greedoid import _LATTICE_CROSSOVER
 from lmss.matching import _mu_on
 from lmss.stability import _alpha_on, _stable_sets
 from lmss.theorems import RULES
@@ -94,6 +95,34 @@ def _exchange_by_pairs(f):
 @settings(max_examples=300)
 def test_check_exchange_matches_pairwise_definition(f):
     assert check_exchange(f) == _exchange_by_pairs(f)
+
+
+@st.composite
+def dense_set_systems(draw, max_n=7):
+    """A family of all subsets of at most max_n elements but a few holes, so
+    that some level pair has more pairs than 2^n * ``_LATTICE_CROSSOVER``
+    and check_exchange decides it on the subset lattice; and the same
+    family with one member dropped from its largest level."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    holes = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1),
+                         max_size=1 << n >> 3))
+    members = [m for m in range(1 << n) if m not in holes]
+    levels: dict[int, list[int]] = {}
+    for m in members:
+        levels.setdefault(m.bit_count(), []).append(m)
+    assume(any(len(ys) * len(levels.get(k + 1, ())) > (1 << n) * _LATTICE_CROSSOVER
+               for k, ys in levels.items()))
+    largest = max(levels.values(), key=len)
+    dropped = draw(st.sampled_from(largest))
+    return (SetSystem(n, tuple(members)),
+            SetSystem(n, tuple(m for m in members if m != dropped)))
+
+
+@given(dense_set_systems())
+@settings(max_examples=150)
+def test_check_exchange_matches_pairwise_definition_on_dense_families(systems):
+    for f in systems:
+        assert check_exchange(f) == _exchange_by_pairs(f)
 
 
 def _accessibility_by_sets(f):

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import lmss
-from lmss import analyze_graph, cli, complete, cycle, fixture, serialize
+import oracles
+from lmss import Graph, analyze_graph, cli, complete, cycle, fixture, is_connected, serialize
+from lmss.corpus import random_graphs
 from lmss.fixtures import fixture_names
 from lmss.report import ClassificationReport, render_text
 
@@ -88,10 +90,49 @@ def test_analyze_computes_alpha_and_mu_once(patch_lmss):
     for module, name in ((lmss.stability, "alpha"), (lmss.matching, "mu"),
                          (lmss.classifiers, "is_koenig_egervary")):
         original = getattr(module, name)
-        patch_lmss(original, lambda g, name=name, original=original: calls.append(name) or original(g))
+        patch_lmss(original, lambda g, *memo, name=name, original=original:
+                   calls.append(name) or original(g, *memo))
     report = analyze_graph(fixture("fig8_G1"), name="fig8_G1")
     assert report.very_well_covered and report.koenig_egervary
     assert sorted(calls) == ["alpha", "mu"]
+
+
+def _psi_witness_report(g):
+    return json.loads(analyze_graph(g).to_json())
+
+
+def test_psi_witnesses_hold_by_definition_at_n_12_to_16():
+    # ten connected G(n, p) draws per n; every false axiom verdict carries a
+    # witness that the oracle confirms from psi membership alone
+    graphs = []
+    for n, p in ((12, 0.3), (14, 0.25), (16, 0.2)):
+        graphs += [g for g in random_graphs(40, n, p, seed=n) if is_connected(g)][:10]
+    kinds = []
+    for g in graphs:
+        report = _psi_witness_report(g)
+        assert oracles.psi_witness_problems(g.n, oracles.edges_of(g), report) == []
+        kinds.append(tuple(sorted(report["certificates"])))
+    assert len(graphs) == 30
+    # 29 inaccessible members and 19 exchange pairs; one greedoid, unwitnessed
+    assert sum("inaccessible_member" in k for k in kinds) == 29
+    assert sum("exchange_violation" in k for k in kinds) == 19
+    assert kinds.count(()) == 1
+
+    # K1,9 + C5 + K1: 512 * 6 * 2 members, and both axioms fail
+    edges = [(0, leaf) for leaf in range(1, 10)] + [(10 + i, 10 + (i + 1) % 5) for i in range(5)]
+    g = Graph.from_edges(16, edges)
+    report = _psi_witness_report(g)
+    assert report["invariants"]["psi_size"] == 6144
+    assert not report["predicates"]["accessibility"] and not report["predicates"]["exchange"]
+    e = oracles.edges_of(g)
+    assert oracles.psi_witness_problems(16, e, report) == []
+    # the checker rejects a dropped or a wrong witness
+    certificates = report["certificates"]
+    for key, wrong in (("inaccessible_member", [1]),
+                       ("exchange_violation", {"x": [1, 2], "y": [3]})):
+        dropped = {k: v for k, v in certificates.items() if k != key}
+        for forged in (dropped, {**certificates, key: wrong}):
+            assert len(oracles.psi_witness_problems(16, e, dict(report, certificates=forged))) == 1
 
 
 def test_report_json_roundtrip():

@@ -20,6 +20,7 @@ from lmss import (
     psi_enumerate,
     psi_member_oracle,
 )
+from lmss.facts import Facts
 from lmss.fixtures import fixture
 from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting
 
@@ -33,6 +34,20 @@ def test_is_stable():
     assert is_stable(c4, c4.set_of())
     assert is_stable(c4, c4.set_of(0, 2))
     assert not is_stable(complete(3), complete(3).set_of(0, 1))
+
+
+def test_alpha_after_psi_is_one_lookup_in_the_graph_memo(connected_upto_6, patch_lmss):
+    # psi asks alpha of every N[S], N[S] = V for a maximal S included, in the
+    # graph's one memo; so alpha, read after psi, recurses no further
+    want = [alpha(g) for g in connected_upto_6]
+    calls = []
+    patch_lmss(_alpha_on, lambda g, avail, memo: calls.append(avail) or _alpha_on(g, avail, memo))
+    for g, a in zip(connected_upto_6, want):
+        item = Facts(g)
+        item.psi
+        calls.clear()
+        assert item.alpha == a
+        assert calls == [g.full_mask]
 
 
 def test_alpha_examples():
