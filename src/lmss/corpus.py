@@ -91,9 +91,10 @@ EXHAUSTIVE_LIMIT = 9
 # is part of the key's definition: another value would give other keys and
 # change the pinned catalogue bytes.
 _LEAF_CAP = 720
+_FACTORIALS = tuple(factorial(k) for k in range(MAX_VERTICES + 1))
 
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
     """Stable colour refinement of ordered cell masks.
 
     Each round splits every cell by its members' counts of neighbours in
@@ -101,25 +102,50 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
     cell where counts differ goes first.  Members of a cell share a degree,
     so this is the order of their sorted neighbour-colour tuples.  Stops
     when a round splits no cell.
+
+    Only the counts into ``splitters`` are read, which gives the same parts
+    in the same order.  A count into a cell splits nothing when every
+    member of each cell already had one count into it the round before.
+    Nor does a count into the last part of a split cell: it is the count
+    into the cell it came from less the counts into the earlier parts, so
+    two members that differ there differ at an earlier part first.  So the
+    next round's splitters are this round's new parts but the last of each
+    split cell.  The callers pass the first round's: the degree cells but
+    the last (every member of a degree cell has its degree as its count
+    into the whole vertex set), or the individualised vertex alone (the
+    partition it came from was stable).
+
+    A member's counts are packed into one int, four bits per count, the
+    first splitter's most significant, and a cell's parts are ordered by
+    that int, descending.  A count is at most n - 1 <= 15 under
+    ``MAX_VERTICES`` = 16, so no count carries into the next field, and the
+    ints order exactly as the count tuples do.
     """
-    while True:
+    while splitters:
         new: list[int] = []
+        split: list[int] = []
         for c in cells:
             if not c & (c - 1):
                 new.append(c)
                 continue
-            groups: dict[tuple[int, ...], int] = {}
-            for v in bits(c):
-                a = adj[v]
-                sig = tuple([-(a & d).bit_count() for d in cells])
-                groups[sig] = groups.get(sig, 0) | 1 << v
+            groups: dict[int, int] = {}
+            rest = c
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = adj[low.bit_length() - 1]
+                sig = 0
+                for d in splitters:
+                    sig = sig << 4 | (a & d).bit_count()
+                groups[sig] = groups.get(sig, 0) | low
             if len(groups) == 1:
                 new.append(c)
             else:
-                new.extend(groups[sig] for sig in sorted(groups))
-        if len(new) == len(cells):
-            return cells
-        cells = new
+                parts = [groups[sig] for sig in sorted(groups, reverse=True)]
+                new += parts
+                split += parts[:-1]
+        cells, splitters = new, split
+    return cells
 
 
 def _twin_classes(adj: Sequence[int], mask: int) -> list[int]:
@@ -185,6 +211,8 @@ def canonical_key(g: Graph) -> int:
 
     def untried(cell: int) -> list[int]:
         """The vertices of ``cell`` that are not a twin of an earlier one."""
+        if not cell & (cell - 1):
+            return [cell.bit_length() - 1]
         return [(c & -c).bit_length() - 1 for c in _twin_classes(adj, cell)]
 
     def search_rows(cells: list[int], key: int, width: int):
@@ -233,7 +261,7 @@ def canonical_key(g: Graph) -> int:
     def descend(cells: list[int]):
         orders = 1
         for c in cells:
-            orders *= factorial(c.bit_count())
+            orders *= _FACTORIALS[c.bit_count()]
             if orders > _LEAF_CAP:
                 break
         else:
@@ -242,13 +270,14 @@ def canonical_key(g: Graph) -> int:
         i = next(idx for idx, c in enumerate(cells) if c & (c - 1))
         cell = cells[i]
         for v in untried(cell):
-            descend(_refine(adj, [*cells[:i], 1 << v, cell ^ 1 << v, *cells[i + 1:]]))
+            descend(_refine(adj, [*cells[:i], 1 << v, cell ^ 1 << v, *cells[i + 1:]], [1 << v]))
 
     by_degree: dict[int, int] = {}
     for v, a in enumerate(adj):
         d = a.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
-    descend(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
+    degree_cells = [by_degree[d] for d in sorted(by_degree)]
+    descend(_refine(adj, degree_cells, degree_cells[:-1]))
     return best
 
 
@@ -285,11 +314,10 @@ def _new_vertex_minimises(adj: list[int]) -> bool:
     k = deg[-1]
     if min(deg) < k:
         return False
-    ties = [v for v, d in enumerate(deg) if d == k]
-    if len(ties) == 1:
+    if deg.count(k) == 1:
         return True
-    sums = [sum(deg[u] for u in bits(adj[v])) for v in ties]
-    return sums[-1] == min(sums)
+    own = sum(deg[u] for u in bits(adj[-1]))
+    return not any(d == k and sum(deg[u] for u in bits(adj[v])) < own for v, d in enumerate(deg))
 
 
 def _augment(parents: tuple[int, ...], n: int, masks: range | list[int]) -> tuple[int, ...]:
@@ -314,7 +342,7 @@ def _augment(parents: tuple[int, ...], n: int, masks: range | list[int]) -> tupl
             k = mask.bit_count()
             if k > low + 1 or mask & need[k] != need[k]:
                 continue
-            if any(c & ((1 << (mask & c).bit_length()) - 1) != mask & c for c in twins):
+            if twins and any(c & ((1 << (mask & c).bit_length()) - 1) != mask & c for c in twins):
                 continue
             adj = [a | new if mask >> v & 1 else a for v, a in enumerate(p.adj)]
             adj.append(mask)

@@ -158,6 +158,24 @@ def analyze_graph(g: Graph, name: str | None = None) -> ClassificationReport:
     )
 
 
+def _certificate_text(key: str, val, lab: tuple[str, ...]) -> str:
+    """A certificate with its vertices named as the edges line names them."""
+
+    def vertex_set(vertices: list[int]) -> str:
+        return "{" + ", ".join(lab[v] for v in vertices) + "}"
+
+    if key == "unique_perfect_matching":
+        return " ".join("-".join(lab[int(v)] for v in e.split("-")) for e in val)
+    if key == "inaccessible_member":
+        return vertex_set(val)
+    if key == "exchange_violation":
+        return f"X {vertex_set(val['x'])}, Y {vertex_set(val['y'])}"
+    vs = val["vertices"]  # an alternating cycle
+    steps = zip(vs, vs[1:] + vs[:1], val["in_matching"])
+    matched = " ".join(f"{lab[u]}-{lab[v]}" for u, v, m in steps if m)
+    return "-".join(lab[v] for v in (*vs, vs[0])) + f", matched {matched}"
+
+
 def render_text(report: ClassificationReport) -> str:
     lab = report.labels or tuple(str(i) for i in range(report.n))
     lines = [
@@ -173,5 +191,5 @@ def render_text(report: ClassificationReport) -> str:
         f" fast={report.psi_greedoid_fast} auto={report.psi_greedoid_auto}",
     ]
     for key, val in sorted(report.certificates.items()):
-        lines.append(f"certificate  : {key} = {val}")
+        lines.append(f"certificate  : {key} = {_certificate_text(key, val, lab)}")
     return "\n".join(lines) + "\n"

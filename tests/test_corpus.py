@@ -212,6 +212,27 @@ def test_corona_family_with_large_parts_and_a_small_total_ends_in_seconds():
     assert (proc.returncode, proc.stdout) == (0, "1753\n"), proc.stderr
 
 
+def test_generation_keys_exactly_the_children_whose_new_vertex_minimises_f():
+    # from a cold cache, so no level is already generated: a weaker
+    # canonical-deletion test would key more children, and one that lost a
+    # class would also change the catalogue pin
+    script = (
+        "from lmss import corpus\n"
+        "calls = 0\n"
+        "key = corpus.canonical_key\n"
+        "def counted(g):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return key(g)\n"
+        "corpus.canonical_key = counted\n"
+        "corpus.graph_keys(8)\n"
+        "print(calls)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "17501\n"), proc.stderr
+
+
 def test_corpus_spec_validation():
     with pytest.raises(UsageError):
         CorpusSpec(source="nope")
@@ -307,6 +328,34 @@ def test_catalogue_bytes_pinned():
     )
 
 
+def _beyond_the_catalogue() -> list[Graph]:
+    """Graphs on 9 to 16 vertices whose keys the catalogue pins never reach."""
+    draws = []
+    for n in range(9, 17):
+        for p in (0.2, 0.5, 0.8):
+            draws += [g for g in random_graphs(12, n, p, seed=n) if is_connected(g)][:2]
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)])
+    cube = Graph.from_edges(16, [(v, v ^ b) for v in range(16) for b in (1, 2, 4, 8) if v < v ^ b])
+    crown = Graph.from_edges(16, [(i, 8 + j) for i in range(8) for j in range(8) if i != j])
+    star = Graph.from_edges(16, [(0, leaf) for leaf in range(1, 16)])
+    wheel = corona(complete(1), [cycle(15)])
+    return [*draws, star, wheel, petersen, cube, cycle(16), crown]
+
+
+def test_canonical_keys_pinned_beyond_the_catalogue():
+    # counts up to 15 in one cell (the star's and the wheel's centre), and
+    # Petersen, the 4-cube, C16 and K8,8 minus a perfect matching, whose
+    # refined degree partition admits more than _LEAF_CAP orders, so the
+    # search tree individualises before it reaches a leaf
+    pairs = [(g.n, canonical_key(g)) for g in _beyond_the_catalogue()]
+    pairs += [(n, key) for n in range(10, 13) for key in tree_keys(n)]
+    assert len(pairs) == 48 + 6 + 106 + 235 + 551
+    digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+    assert digest == "f842abb86dee729a476d00725d52c57874e2aa1321c3101cb67fbbf929eecf9b"
+
+
 def test_exhaustive_cap():
     with pytest.raises(UsageError):
         nonisomorphic_graphs(10)
@@ -331,8 +380,13 @@ def test_generators_check_n_before_they_recurse():
 
 @pytest.mark.slow
 def test_exhaustive_counts_at_nine():
-    # OEIS A000088 and A001349
-    assert len(graph_keys(9)) == 274_668
+    # OEIS A000088 and A001349; the digest pins every key of the level, not
+    # only their number
+    keys = graph_keys(9)
+    assert len(keys) == 274_668
+    assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == (
+        "9880f012239d0cfba5321e2dc36b0a3bf9fb19cc205e67df10cc05f53d49fffa"
+    )
     items = iter_corpus(CorpusSpec(source="exhaustive", max_n=9))
     assert sum(it.graph.n == 9 for it in items) == 261_080
 

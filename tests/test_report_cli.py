@@ -145,6 +145,21 @@ def test_report_json_roundtrip():
         ClassificationReport.from_dict({**r.to_dict(), "schema": 2})
 
 
+def test_text_certificates_name_vertices_as_the_edges_line_does():
+    # fig10_G's JSON certificates are [1, 6] and ["0-1", "2-3", ...] in indices
+    text = render_text(analyze_graph(fixture("fig10_G"), name="fig10_G"))
+    assert "edges        : x-b x-a b-c " in text
+    assert "certificate  : inaccessible_member = {b, a}\n" in text
+    assert "certificate  : unique_perfect_matching = x-b c-d e-f a-y g-h\n" in text
+    text = render_text(analyze_graph(fixture("fig7_G2"), name="fig7_G2"))
+    assert "certificate  : alternating_cycle = a-c-d-e-a, matched a-c d-e\n" in text
+    assert "certificate  : exchange_violation = X {c, e}, Y {f}\n" in text
+    # an unlabelled graph prints indices
+    text = render_text(analyze_graph(cycle(4)))
+    assert "certificate  : alternating_cycle = 0-1-2-3-0, matched 0-1 2-3\n" in text
+    assert "certificate  : inaccessible_member = {0, 2}\n" in text
+
+
 def test_report_rejects_disagreeing_verdicts():
     r = analyze_graph(cycle(4))
     with pytest.raises(ValueError):
