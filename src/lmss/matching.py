@@ -11,9 +11,10 @@ free-vertex mask answer the numeric questions: ``_mu_on`` gives the size
 of a maximum matching and ``_count_perfect_matchings_on`` the number of
 perfect matchings.  One walk, ``_matchings``, pruned by ``_mu_on``, lists
 the matchings of one size: all maximum ones, all perfect ones, and the
-first perfect one.  The counter only counts, so the check that a unique
-perfect matching is the only one counted shares no code with the walk
-that found it.
+first perfect one.  ``facts.Facts`` gives each graph one ``_mu_on`` memo,
+which mu and the walk share.  The counter only counts, so the check that
+a unique perfect matching is the only one counted shares no code with the
+walk that found it.
 
 Three searches run on masks and build no ``Matching`` or
 ``AlternatingCycle``.  ``_matching_walk`` yields every matching as (edge
@@ -173,9 +174,13 @@ def _check_matching(g: Graph, m: Matching) -> None:
         raise MismatchError("matching does not belong to this graph")
 
 
-def mu(g: Graph) -> int:
-    """Size of a maximum matching."""
-    return _mu_on(g, g.full_mask, {})
+def mu(g: Graph, memo: dict[int, int] | None = None) -> int:
+    """Size of a maximum matching.
+
+    ``memo`` is a ``_mu_on`` memo of g to read and fill; ``Facts`` shares
+    one between mu and the matching walk.
+    """
+    return _mu_on(g, g.full_mask, {} if memo is None else memo)
 
 
 def _mu_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
@@ -259,12 +264,13 @@ def _matching_walk(g: Graph):
 
 def enumerate_maximum_matchings(g: Graph) -> list[Matching]:
     """All maximum matchings, in lexicographic edge order, no duplicates."""
-    return list(_matchings(g, mu(g)))
+    from .facts import Facts
+    return Facts(g).maximum_matchings
 
 
 def enumerate_perfect_matchings(g: Graph) -> list[Matching]:
     """All perfect matchings, in lexicographic edge order."""
-    return [] if g.n % 2 else list(_matchings(g, g.n // 2))
+    return [] if g.n % 2 else list(_matchings(g, g.n // 2, {}))
 
 
 def count_perfect_matchings(g: Graph) -> int:
@@ -297,12 +303,13 @@ def _count_perfect_matchings_on(g: Graph, avail: int, memo: dict[int, int]) -> i
     return total
 
 
-def _matchings(g: Graph, size: int):
+def _matchings(g: Graph, size: int, memo: dict[int, int]):
     """Every matching of g with ``size`` edges, in lexicographic edge order.
 
     The walk matches the lowest free vertex v to each free neighbour in
     ascending order, then leaves v unmatched, and enters only masks whose
     ``_mu_on`` still allows the edges it needs, so it never backtracks.
+    ``memo`` is the ``_mu_on`` memo of g it reads and fills.
 
     The order is lexicographic without a sort.  Two matchings agree up to
     the branch point where they part, at some lowest free vertex v.  There
@@ -312,7 +319,6 @@ def _matchings(g: Graph, size: int):
     is a prefix of the other, and the earlier one has the smaller edge at
     the first position where they differ.
     """
-    memo: dict[int, int] = {}
     chosen: list[Edge] = []
 
     def walk(avail: int, need: int):

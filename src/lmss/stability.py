@@ -17,6 +17,10 @@ lists each stable set S together with N[S], in ascending mask order:
 
 ``facts.Facts`` defines psi and the maximum stable sets on one walk and one
 alpha memo per graph; ``psi_enumerate`` and ``omega_enumerate`` read them there.
+From ``facts._RELABEL_CROSSOVER`` vertices on, alpha runs on a copy of the
+graph in breadth-first order, where its memo is smaller; the walk stays on
+the graph, so every S is a mask of the graph, but it carries N[S] in the
+copy's labels, for alpha to read.
 
 Each family is a ``StableSetFamily``: a ``SetSystem`` whose ground set is
 the graph's vertices.  It is validated once, when it is built, and the
@@ -70,9 +74,12 @@ def _alpha_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
     return best
 
 
-def _stable_sets(g: Graph) -> list[tuple[int, int]]:
+def _stable_sets(g: Graph, closed: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
     """Every stable set S of g with its closed neighbourhood, as ``(S, N[S])``
     mask pairs in ascending order of S.
+
+    ``closed[v]`` is N[v] in the labels that N[S] is wanted in: ``Facts``
+    passes those of its relabelled copy.  By default N[S] is in g's own.
 
     Built by top-vertex doubling: before vertex v the list holds every
     stable set on vertices below v; each of those that misses N(v) gains v.
@@ -83,8 +90,8 @@ def _stable_sets(g: Graph) -> list[tuple[int, int]]:
     walk = [(0, 0)]
     for v, nbrs in enumerate(g.adj):
         bit = 1 << v
-        closed = nbrs | bit
-        walk += [(s | bit, c | closed) for s, c in walk if not s & nbrs]
+        cv = nbrs | bit if closed is None else closed[v]
+        walk += [(s | bit, c | cv) for s, c in walk if not s & nbrs]
     return walk
 
 

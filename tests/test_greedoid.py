@@ -215,8 +215,8 @@ def _count_walks_and_alpha(patch_lmss):
     calls = []
     for name in ("_stable_sets", "alpha"):
         original = getattr(lmss.stability, name)
-        patch_lmss(original, lambda g, *memo, name=name, original=original:
-                   calls.append(name) or original(g, *memo))
+        patch_lmss(original, lambda g, *rest, name=name, original=original:
+                   calls.append(name) or original(g, *rest))
     return calls
 
 

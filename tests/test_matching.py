@@ -31,7 +31,7 @@ from lmss.facts import Facts
 from lmss.fixtures import fixture, fixture_names, named_edges
 from lmss.graphs import induced_subgraph
 from lmss.matching import (_alternating_cycles, _chordless_cycle_through,
-                           _count_perfect_matchings_on, _cycle_free, _matching_walk)
+                           _count_perfect_matchings_on, _cycle_free, _matching_walk, _mu_on)
 
 
 def matching_by_names(name, *pairs):
@@ -122,6 +122,34 @@ def test_matching_walk_yields_what_the_validated_matchings_hold(connected_upto_6
         # the same order as the oracle's DFS over sorted edges
         want = [tuple(sorted(m)) for m in oracles.all_matchings(oracles.edges_of(g))]
         assert got == want and len(public) == len(got)
+
+
+def test_mu_after_the_matching_searches_is_one_lookup_in_the_graph_memo(connected_upto_6,
+                                                                       patch_lmss):
+    # the perfect-matching search and the maximum matchings ask mu in the
+    # graph's one memo, so no mask's mu is computed twice, and mu, read
+    # after the search on a graph with an even order, recurses no further
+    graphs = connected_upto_6 + random_graphs(2, 12, 0.3, seed=12)
+    want = [mu(g) for g in graphs]
+    computed, calls = [], []
+
+    def counting(g, avail, memo):
+        calls.append(avail)
+        if avail.bit_count() >= 2 and avail not in memo:
+            computed.append(avail)
+        return _mu_on(g, avail, memo)
+
+    patch_lmss(_mu_on, counting)
+    for g, m in zip(graphs, want):
+        item = Facts(g)
+        computed.clear()
+        item.perfect_matching_search
+        if g.n % 2 == 0:
+            calls.clear()
+            assert item.mu == m
+            assert calls == [g.full_mask]
+        assert len(item.maximum_matchings[0]) == m
+        assert len(computed) == len(set(computed)), serialize(g)
 
 
 def test_find_alternating_cycle_examples():

@@ -78,7 +78,7 @@ def test_analyze_computes_well_covered_once(patch_lmss):
     # stable-set walk, so the walks count it
     original = lmss.stability._stable_sets
     calls = []
-    patch_lmss(original, lambda g: calls.append(g) or original(g))
+    patch_lmss(original, lambda g, *rest: calls.append(g) or original(g, *rest))
     report = analyze_graph(fixture("fig8_G1"), name="fig8_G1")
     assert report.well_covered and report.very_well_covered
     assert len(calls) == 1

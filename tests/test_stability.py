@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -20,7 +21,8 @@ from lmss import (
     psi_enumerate,
     psi_member_oracle,
 )
-from lmss.facts import Facts
+from lmss.corpus import random_graphs
+from lmss.facts import _RELABEL_CROSSOVER, Facts, _breadth_first_order
 from lmss.fixtures import fixture
 from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting
 
@@ -38,16 +40,86 @@ def test_is_stable():
 
 def test_alpha_after_psi_is_one_lookup_in_the_graph_memo(connected_upto_6, patch_lmss):
     # psi asks alpha of every N[S], N[S] = V for a maximal S included, in the
-    # graph's one memo; so alpha, read after psi, recurses no further
-    want = [alpha(g) for g in connected_upto_6]
+    # graph's one memo; so alpha, read after psi, recurses no further.  The
+    # last graph is past the relabelling crossover, where the memo is the
+    # copy's and N[S] is in its labels
+    graphs = connected_upto_6 + random_graphs(1, 12, 0.3, seed=12)
+    assert graphs[-1].n >= _RELABEL_CROSSOVER
+    want = [alpha(g) for g in graphs]
     calls = []
     patch_lmss(_alpha_on, lambda g, avail, memo: calls.append(avail) or _alpha_on(g, avail, memo))
-    for g, a in zip(connected_upto_6, want):
+    for g, a in zip(graphs, want):
         item = Facts(g)
         item.psi
         calls.clear()
         assert item.alpha == a
         assert calls == [g.full_mask]
+
+
+def _relabel(g, perm):
+    """g with each vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _relabel_mask(mask, perm):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+def test_the_copy_is_the_graph_below_the_crossover_and_breadth_first_from_it():
+    assert _RELABEL_CROSSOVER == 10
+    nine = path(9)
+    assert Facts(nine)._relabelled == (nine, None)
+    # a path under shuffled labels comes out as the path from its end of
+    # least label, and closed[v] is N[v] in the copy's labels
+    perm = random.Random(16).sample(range(16), 16)
+    shuffled = _relabel(path(16), perm)
+    copy, closed = Facts(shuffled)._relabelled
+    assert copy.adj == path(16).adj
+    start = min(perm[0], perm[15])
+    assert closed[start] == 0b11
+    assert sorted(closed) == sorted(m | 1 << v for v, m in enumerate(copy.adj))
+    # each component starts from its least-degree vertex (3, then 6), and
+    # neighbours come least degree first (5 after 7 and 8), ties by label
+    g = Graph.from_edges(10, [(0, 1), (0, 2), (1, 2), (2, 3),
+                              (4, 5), (4, 6), (4, 7), (4, 8), (5, 9)])
+    assert _breadth_first_order(g) == [3, 2, 0, 1, 6, 4, 7, 8, 5, 9]
+
+
+def test_facts_above_the_crossover_against_the_oracles():
+    # alpha, psi and the perfect-matching count run on the copy, so every
+    # fact they feed is compared with the definitions past the crossover
+    for n in (10, 11, 12):
+        for p in (0.3, 0.5, 0.7):
+            g = random_graphs(1, n, p, seed=n)[0]
+            item, e = Facts(g), oracles.edges_of(g)
+            assert item._relabelled[0] is not g
+            assert fam_as_sets(item.psi) == oracles.psi(n, e)
+            assert fam_as_sets(item.omega) == oracles.maximum_stable_sets(n, e)
+            assert item.alpha == oracles.alpha(n, e)
+            assert item.well_covered == oracles.is_well_covered(n, e)
+            assert item.perfect_matching_count == len(oracles.perfect_matchings(n, e))
+
+
+def test_psi_of_a_relabelled_graph_is_the_relabelled_psi():
+    rng = random.Random(9)
+    for n in range(9, 17):
+        for p in (0.2, 0.35, 0.5):
+            g = random_graphs(1, n, p, seed=100 * n + int(100 * p))[0]
+            perm = rng.sample(range(n), n)
+            item, moved = Facts(g), Facts(_relabel(g, perm))
+            assert moved.psi.members == tuple(
+                sorted(_relabel_mask(s, perm) for s in item.psi.members))
+            assert moved.perfect_matching_count == item.perfect_matching_count
+            assert moved.alpha == item.alpha
+
+
+@pytest.mark.slow
+def test_psi_and_perfect_matching_count_against_the_oracles_at_13_and_14():
+    for n in (13, 14):
+        for g in random_graphs(2, n, 0.3, seed=n) + random_graphs(2, n, 0.5, seed=n):
+            item, e = Facts(g), oracles.edges_of(g)
+            assert fam_as_sets(item.psi) == oracles.psi(n, e)
+            assert item.perfect_matching_count == len(oracles.perfect_matchings(n, e))
 
 
 def test_alpha_examples():

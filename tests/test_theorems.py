@@ -97,7 +97,7 @@ def test_verify_validates_every_rule_before_running_any(monkeypatch):
 def test_verify_computes_well_covered_once_per_item(patch_lmss):
     # well-coveredness is read off the stable-set walk, so the walks count it
     calls = []
-    patch_lmss(_stable_sets, lambda g: calls.append(g) or _stable_sets(g))
+    patch_lmss(_stable_sets, lambda g, *rest: calls.append(g) or _stable_sets(g, *rest))
     # th8 and th3 ask very-well-coveredness, which asks well-coveredness on
     # the 143 of these 177 graphs with |V| = 2 alpha; th88iii asks both on
     # every item, as none has an isolated vertex; 18 graphs are very
@@ -249,12 +249,12 @@ def test_th11_builds_no_matching(monkeypatch):
 
 def test_lem2_and_equiv7_compute_mu_once_per_graph(patch_lmss):
     # their matchings are the maximum ones, so the square search checks no
-    # size: mu is computed once per graph, by enumerate_maximum_matchings
+    # size: mu is computed once per graph, by the maximum-matchings fact
     calls = []
 
-    def counting(g):
+    def counting(g, *rest):
         calls.append(g)
-        return mu(g)
+        return mu(g, *rest)
 
     patch_lmss(mu, counting)
     summary = verify(CorpusSpec(source="exhaustive", max_n=8, filter="vwc"), ["lem2", "equiv7"])
