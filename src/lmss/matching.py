@@ -5,36 +5,38 @@ of the subgraph induced by the vertices it saturates; equivalently, when
 the graph has no M-alternating cycle.  The alternating-cycle route is the
 implementation; the enumeration route stays available as an oracle.
 
-Each matching concept has one search, except the alternating cycle,
-which has a listing and a decision.  Two memoised recursions on the
+Each matching concept has one search, with two exceptions: the
+alternating cycle has a listing and a decision, and the matchings have a
+listing and th9's decision walk.  Two memoised recursions on the
 free-vertex mask answer the numeric questions: ``_mu_on`` gives the size
 of a maximum matching and ``_count_perfect_matchings_on`` the number of
 perfect matchings.  One walk, ``_matchings``, pruned by ``_mu_on``, lists
-the matchings of one size: all maximum ones, all perfect ones, and the
-first perfect one.  ``facts.Facts`` gives each graph one ``_mu_on`` memo,
-which mu and the walk share.  The counter only counts, so the check that
-a unique perfect matching is the only one counted shares no code with the
-walk that found it.
+the matchings of one size: all maximum ones, all perfect ones, the first
+perfect one, and, size by size, every matching.  ``facts.Facts`` gives
+each graph one ``_mu_on`` memo, which mu and the walk share.  The counter
+only counts, so the check that a unique perfect matching is the only one
+counted shares no code with the walk that found it.  The th9 rule walks
+every matching of a graph itself, keeping the mate array and saturated
+mask in place, and builds no ``Matching`` per matching: it needs them in
+no order, and on the coronas a generator resume and a tuple per matching
+took about a third of its time.
 
-Three searches run on masks and build no ``Matching`` or
-``AlternatingCycle``.  ``_matching_walk`` yields every matching as (edge
-pairs, mate array, saturated mask).  ``_alternating_cycles`` yields as
-vertex tuples the alternating cycles, for the matching a mate array
-describes, through the seed edges it is given: every cycle when every
-matched edge is a seed.  ``_cycle_free`` decides whether such a cycle
-exists.  The two cycle searches are kept apart on purpose.  The listing
+Two searches run on masks and build no ``AlternatingCycle``.
+``_alternating_cycles`` yields as vertex tuples the alternating cycles,
+for the matching a mate array describes, through the seed edges it is
+given: every cycle when every matched edge is a seed.  ``_cycle_free``
+decides whether such a cycle exists.  The two cycle searches are kept apart on purpose.  The listing
 extends through ascending neighbours, unsaturated ones included, and
 closes a cycle at the seed, so its first cycle is the certificate that
 reports and demos print; that order must stay.  The decision needs no
 order: it steps only onto saturated vertices off the path, keeps no path
 list, and stops at the first end that closes a cycle, so a shared DFS
-would have to branch on its caller.  The objects are built only at the
-public boundary: ``enumerate_matchings`` wraps each matching in a
-validated ``Matching``, and ``find_alternating_cycle`` and
+would have to branch on its caller.  The cycle objects are built only
+at the public boundary: ``find_alternating_cycle`` and
 ``enumerate_alternating_cycles`` wrap listed cycles in
 ``AlternatingCycle``s; ``is_uniquely_restricted`` runs the decision on
 the matching's saturated mask.  All three seed every matched edge.  The
-th9 rule reads the matching walk and the decision directly.
+th9 rule runs the decision on its own walk's mate array and mask.
 
 The unique-perfect-matching question is one search, the
 ``perfect_matching_search`` fact of ``facts.Facts``: the first perfect
@@ -178,7 +180,7 @@ def mu(g: Graph, memo: dict[int, int] | None = None) -> int:
     """Size of a maximum matching.
 
     ``memo`` is a ``_mu_on`` memo of g to read and fill; ``Facts`` shares
-    one between mu and the matching walk.
+    one between mu and ``_matchings``.
     """
     return _mu_on(g, g.full_mask, {} if memo is None else memo)
 
@@ -219,47 +221,10 @@ def _mu_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
 
 
 def enumerate_matchings(g: Graph) -> list[Matching]:
-    """Every matching of g, the empty one included."""
-    return [Matching(g, pairs) for pairs, _, _ in _matching_walk(g)]
-
-
-def _matching_walk(g: Graph):
-    """Every matching of g, the empty one first, as (pairs, mate, saturated).
-
-    DFS over ``g.edges()``: each matching is followed by its extensions by
-    later edges that miss its saturated mask.  ``pairs`` is the tuple of
-    edges in ascending order, ``mate[v]`` is v's partner or -1, and
-    ``saturated`` is the mask of matched vertices.  The edges come from g
-    and the mask keeps them disjoint, so every yield is a valid matching
-    without a check.  ``mate`` is one list updated in place; it is valid
-    until the walk resumes.
-    """
-    edges = g.edges()
-    masks = [(1 << u) | (1 << v) for u, v in edges]
-    mate = [-1] * g.n
-    chosen: list[Edge] = []
-    yield (), mate, 0
-    # i: the next edge to try; stack: (i, used) of the shorter matchings
-    i, used = 0, 0
-    stack: list[tuple[int, int]] = []
-    while True:
-        if i == len(edges):
-            if not stack:
-                return
-            u, v = chosen.pop()
-            mate[u] = mate[v] = -1
-            i, used = stack.pop()
-            continue
-        if used & masks[i]:
-            i += 1
-            continue
-        u, v = e = edges[i]
-        chosen.append(e)
-        mate[u], mate[v] = v, u
-        stack.append((i + 1, used))
-        used |= masks[i]
-        i += 1
-        yield tuple(chosen), mate, used
+    """Every matching of g, the empty one included: by size, then in
+    lexicographic edge order, through one ``_mu_on`` memo."""
+    memo: dict[int, int] = {}
+    return [m for k in range(mu(g, memo) + 1) for m in _matchings(g, k, memo)]
 
 
 def enumerate_maximum_matchings(g: Graph) -> list[Matching]:

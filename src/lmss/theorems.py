@@ -20,13 +20,15 @@ the perfect-matching counts of saturated masks behind the definitional
 uniquely-restricted test (th9, th22, equiv7).  That count shares no code
 with the alternating-cycle search it is compared with.
 
-th9 reads the matching walk itself: for every matching it runs both
-routes on the walk's masks, the alternating-cycle decision ``_cycle_free``
-on the mate array and saturated mask, and the count on the saturated
-mask, and builds a ``Matching`` only to describe a violation.  The walk is
-a DFS, so each matching's parent (it minus its newest edge) is the latest
-matching one edge smaller; when the parent is cycle-free, the decision
-starts at the newest edge alone.
+th9 walks the matchings itself, a DFS over the graph's edges that keeps
+one mate array and saturated mask in place instead of yielding a tuple
+per matching.  For every matching it runs both routes once: the
+alternating-cycle decision ``_cycle_free`` on the mate array and mask,
+and the count ``_count_perfect_matchings_on`` on the mask, through the
+item's count memo.  It builds a ``Matching`` only to describe a
+violation.  Each matching's parent (it minus its newest edge) is the
+latest matching one edge smaller; when the parent is cycle-free, the
+decision starts at the newest edge alone.
 th4 reads alpha(G - uv) on a mask of G, through one memo per graph, and
 finds mu(G - uv) < mu(G) exactly for the edges common to every maximum
 matching.  th11 builds no perfect matching: it reads one ``_mu_on`` memo
@@ -46,10 +48,10 @@ from .stability import _alpha_on, _chain_grows, _psi_member_counting
 from .matching import (
     Matching,
     _chordless_cycle_through,
+    _count_perfect_matchings_on,
     _cycle_free,
     _edge_has_p,
     _find_alternating_c4,
-    _matching_walk,
     _mu_on,
     is_uniquely_restricted,
 )
@@ -160,20 +162,51 @@ def _check_th8(item: Facts) -> list[str]:
 def _check_th9(item: Facts) -> list[str]:
     """Both routes on every matching M.  The cycle route seeds M's newest edge ab alone
     when P = M - ab is cycle-free, which is exact: a cycle missing a and b alternates for
-    P too, and one through a or b uses its matched edge ab.  Otherwise it seeds all of M."""
+    P too, and one through a or b uses its matched edge ab.  Otherwise it seeds all of M.
+
+    The matchings come from a DFS over ``g.edges()``, the empty one first, each followed
+    by its extensions by later edges that miss its saturated mask, so P is the latest
+    matching one edge smaller.  The edges come from g and the mask keeps them disjoint,
+    so ``chosen`` is a matching without a check."""
     g = item.graph
+    adj, counts, edges = g.adj, item._pm_counts, g.edges()
+    n_edges = len(edges)
+    masks = [(1 << u) | (1 << v) for u, v in edges]
+    mate = [-1] * g.n
+    chosen: list[Edge] = []
+    # free[d]: the cycle route's verdict on chosen[:d];
+    # stack[d]: the edge after chosen[d] to try next, and the mask of chosen[:d]
+    free: list[bool] = []
+    stack: list[tuple[int, int]] = []
     out = []
-    # free[d]: the cycle route's verdict on the latest d-edge matching (d = 0 seeds nothing)
-    free = [True]
-    for pairs, mate, saturated in _matching_walk(g):
-        d = len(pairs)
-        by_cycle = _cycle_free(g.adj, pairs[-1:] if free[d - 1] else pairs, mate, saturated)
-        free[d:] = (by_cycle,)
-        by_count = item.unique_pm_on(saturated)
+    # i: the next edge to try; seeds: the cycle route's seeds for chosen
+    i, saturated, seeds = 0, 0, ()
+    while True:
+        by_cycle = _cycle_free(adj, seeds, mate, saturated)
+        free.append(by_cycle)
+        by_count = _count_perfect_matchings_on(g, saturated, counts) == 1
         if by_cycle != by_count:
-            m = Matching(g, pairs)
+            m = Matching(g, tuple(chosen))
             out.append(f"{m!r}: alternating-cycle route {by_cycle}, enumeration {by_count}")
-    return out
+        # the next matching: chosen plus the next edge that misses saturated, else backtrack
+        while True:
+            while i < n_edges and saturated & masks[i]:
+                i += 1
+            if i < n_edges:
+                break
+            if not stack:
+                return out
+            u, v = chosen.pop()
+            mate[u] = mate[v] = -1
+            free.pop()
+            i, saturated = stack.pop()
+        u, v = e = edges[i]
+        chosen.append(e)
+        mate[u], mate[v] = v, u
+        seeds = (e,) if free[-1] else tuple(chosen)
+        stack.append((i + 1, saturated))
+        saturated |= masks[i]
+        i += 1
 
 
 def _check_th10iv(item: Facts) -> list[str]:

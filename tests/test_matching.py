@@ -31,7 +31,7 @@ from lmss.facts import Facts
 from lmss.fixtures import fixture, fixture_names, named_edges
 from lmss.graphs import induced_subgraph
 from lmss.matching import (_alternating_cycles, _chordless_cycle_through,
-                           _count_perfect_matchings_on, _cycle_free, _matching_walk, _mu_on)
+                           _count_perfect_matchings_on, _cycle_free, _mu_on)
 
 
 def matching_by_names(name, *pairs):
@@ -96,32 +96,16 @@ def test_enumerations_against_oracle(connected_upto_6):
     for g in connected_upto_6:
         e = oracles.edges_of(g)
         want_all = {frozenset(m) for m in oracles.all_matchings(e)}
-        got_all = {frozenset(tuple(x) for x in m.edges) for m in enumerate_matchings(g)}
-        assert got_all == want_all
+        got_all = [tuple(tuple(x) for x in m.edges) for m in enumerate_matchings(g)]
+        assert {frozenset(m) for m in got_all} == want_all
+        # no duplicates, and listed by size, then lexicographically
+        assert len(got_all) == len(want_all)
+        assert got_all == sorted(got_all, key=lambda m: (len(m), m))
         # the walk's own order, no sort behind it, must be lexicographic
         want_max = sorted(tuple(sorted(m)) for m in oracles.maximum_matchings(g.n, e))
         got_max = [tuple(tuple(x) for x in m.edges) for m in enumerate_maximum_matchings(g)]
         assert got_max == want_max
         assert count_perfect_matchings(g) == len(oracles.perfect_matchings(g.n, e))
-
-
-def test_matching_walk_yields_what_the_validated_matchings_hold(connected_upto_6):
-    # the walk validates nothing itself, so each yield is checked here: its
-    # pairs must build a Matching (disjoint edges of g, ascending), and its
-    # mate array and saturated mask must describe that matching
-    for g in connected_upto_6:
-        public = enumerate_matchings(g)
-        got = []
-        for i, (pairs, mate, saturated) in enumerate(_matching_walk(g)):
-            m = Matching(g, pairs)
-            assert m.edges == pairs and m == public[i], (g, pairs)
-            assert saturated == m.saturated_bits
-            partner = {u: v for a, b in pairs for u, v in ((a, b), (b, a))}
-            assert mate == [partner.get(v, -1) for v in range(g.n)]
-            got.append(tuple(tuple(e) for e in pairs))
-        # the same order as the oracle's DFS over sorted edges
-        want = [tuple(sorted(m)) for m in oracles.all_matchings(oracles.edges_of(g))]
-        assert got == want and len(public) == len(got)
 
 
 def test_mu_after_the_matching_searches_is_one_lookup_in_the_graph_memo(connected_upto_6,
@@ -237,7 +221,13 @@ def test_cycle_decision_agrees_with_the_cycle_listing_and_the_oracle():
     for g in graphs:
         edges = oracles.edges_of(g)
         by_mask = {}  # the definition reads only the saturated vertices
-        for pairs, mate, saturated in _matching_walk(g):
+        for m in oracles.all_matchings(edges):
+            pairs = tuple(sorted(m))
+            mate = [-1] * g.n
+            saturated = 0
+            for u, v in pairs:
+                mate[u], mate[v] = v, u
+                saturated |= (1 << u) | (1 << v)
             free = _cycle_free(g.adj, pairs, mate, saturated)
             assert free == (next(_alternating_cycles(g.adj, pairs, mate), None) is None)
             if saturated not in by_mask:

@@ -1,14 +1,14 @@
 import dataclasses
-from collections import Counter
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from lmss import (CorpusSpec, Matching, UsageError, corona, complete, cycle, fixture,
+from lmss import (CorpusSpec, Edge, Matching, UsageError, corona, complete, cycle, fixture,
                   parse_edge_list, path, verify)
-from lmss.corpus import (connected_graphs, graph_from_key, graph_keys, iter_corpus,
-                         nonisomorphic_graphs)
+from lmss.corpus import (connected_graphs, corona_family, graph_from_key, graph_keys,
+                         iter_corpus, nonisomorphic_graphs)
 from lmss.classifiers import (has_isolated_vertices, is_bipartite, is_c4_free, is_forest,
                               is_triangle_free)
 from lmss.facts import Facts
@@ -208,6 +208,23 @@ def test_th4_and_th9_hold_on_every_connected_graph_to_eight():
     assert [r.checked for r in summary.reports] == [12_113, 12_113]
 
 
+def test_th9_holds_on_seeded_connected_random_graphs_at_10_to_12():
+    # past the exhaustive sweep to n = 8: ten dense G(n, 0.6) at each n
+    specs = [CorpusSpec(source="random", count=10, n=n, edge_probability=0.6, seed=n,
+                        filter="connected") for n in (10, 11, 12)]
+    summaries = [verify(spec, ["th9"]) for spec in specs]
+    assert [s.total_violations for s in summaries] == [0, 0, 0]
+    assert [s.reports[0].checked for s in summaries] == [10, 10, 10]
+
+
+@pytest.mark.slow
+def test_th9_holds_on_seeded_random_graphs_at_14():
+    for seed in (1, 2):
+        spec = CorpusSpec(source="random", count=100, n=14, edge_probability=0.3, seed=seed)
+        summary = verify(spec, ["th9"])
+        assert summary.total_violations == 0 and summary.reports[0].checked == 100
+
+
 @pytest.mark.slow
 def test_corona_rules_hold_with_parts_of_up_to_five_vertices():
     # past the default parts of at most 3 vertices: every corona of a base
@@ -277,72 +294,103 @@ def test_lem1_searches_each_perfect_matching_edge_once(patch_lmss):
     assert len(calls) == len(set(calls)) == 142
 
 
-def _th9_details_on_fig1_H():
-    summary = verify(CorpusSpec(source="fixtures", fixtures=("fig1_H",)), ["th9"])
-    return [v.detail for v in summary.reports[0].violations]
+def _th9_graphs():
+    """fig1_H, and the last corona of the default family: K3 with a K3 at
+    each vertex, 12 vertices and 1,480 matchings."""
+    return [fixture("fig1_H"), deque(corona_family(), maxlen=1)[0].graph]
+
+
+def _th9_details(g):
+    return RULES["th9"].check(Facts(g))
+
+
+def _widest_uniquely_restricted(g):
+    """A uniquely restricted matching of the most edges.  It is the one
+    perfect matching of its mask, and no uniquely restricted matching
+    extends it, so no other matching's count reads its mask's."""
+    edges = oracles.edges_of(g)
+    pairs = max((sorted(m) for m in oracles.all_matchings(edges)
+                 if oracles.is_uniquely_restricted(g.n, edges, sorted(m))), key=len)
+    return Matching(g, tuple(Edge(u, v) for u, v in pairs))
 
 
 def test_th9_runs_the_count_route_on_every_matching(patch_lmss):
-    # {uv,xw} is uniquely restricted and the only matching saturating its
-    # mask; a count that lies there must surface as exactly one violation
-    g = fixture("fig1_H")
-    target = Matching.of(g, ("u", "v"), ("x", "w"))
-    assert _th9_details_on_fig1_H() == []
+    # a count that lies on the mask of one uniquely restricted matching
+    # must surface as exactly one violation
+    graphs = _th9_graphs()
+    assert [_th9_details(g) for g in graphs] == [[], []]
+    target = None
 
     def lying(g, avail, memo):
         count = _count_perfect_matchings_on(g, avail, memo)
         return count + 1 if avail == target.saturated_bits else count
 
     patch_lmss(_count_perfect_matchings_on, lying)
-    assert _th9_details_on_fig1_H() == [
-        f"{target!r}: alternating-cycle route True, enumeration False"
-    ]
+    for g in graphs:
+        target = _widest_uniquely_restricted(g)
+        assert _th9_details(g) == [
+            f"{target!r}: alternating-cycle route True, enumeration False"
+        ]
 
 
-def _matching_of_mate(mate):
-    return tuple((u, w) for u, w in enumerate(mate) if u < w)
+def _matching_of_walk(g, mate, saturated):
+    """The matching that th9's walk hands a route, as ascending pairs,
+    once its mate array and saturated mask are checked to describe it."""
+    pairs = tuple((u, w) for u, w in enumerate(mate) if u < w)
+    assert all(mate[w] == u and g.adjacent(u, w) for u, w in pairs)
+    assert mate.count(-1) == g.n - 2 * len(pairs)
+    assert saturated == sum((1 << u) | (1 << w) for u, w in pairs)
+    return pairs
 
 
 def test_th9_runs_the_cycle_route_on_every_matching(patch_lmss):
-    # {uv,tx} is uniquely restricted; a cycle walk that invents a cycle
-    # for it alone must surface as exactly one violation.  The walk may be
-    # seeded at the newest edge only, so the lie keys on the whole matching
-    g = fixture("fig1_H")
-    target = Matching.of(g, ("u", "v"), ("t", "x"))
+    # a cycle walk that invents a cycle for one uniquely restricted
+    # matching alone must surface as exactly one violation.  The walk may
+    # be seeded at the newest edge only, so the lie keys on the whole matching
+    g, target, calls = None, None, []
 
     def lying(adj, seeds, mate, saturated):
-        if _matching_of_mate(mate) == target.edges:
+        calls.append(_matching_of_walk(g, mate, saturated))
+        if calls[-1] == target.edges:
             return False
         return _cycle_free(adj, seeds, mate, saturated)
 
     patch_lmss(_cycle_free, lying)
-    assert _th9_details_on_fig1_H() == [
-        f"{target!r}: alternating-cycle route False, enumeration True"
-    ]
+    for g in _th9_graphs():
+        target = _widest_uniquely_restricted(g)
+        calls.clear()
+        assert _th9_details(g) == [
+            f"{target!r}: alternating-cycle route False, enumeration True"
+        ]
+        assert len(calls) == len(oracles.all_matchings(oracles.edges_of(g)))
 
 
 def test_th9_seeds_the_newest_edge_exactly_below_a_cycle_free_parent(patch_lmss):
     # one cycle search per matching; it starts at the newest edge alone
     # exactly when the matching minus that edge is uniquely restricted
-    g = fixture("fig1_H")
-    edges = oracles.edges_of(g)
-    calls = []
+    g, calls = None, []
 
     def recording(adj, seeds, mate, saturated):
-        calls.append((tuple(seeds), _matching_of_mate(mate)))
+        calls.append((tuple(seeds), _matching_of_walk(g, mate, saturated)))
         return _cycle_free(adj, seeds, mate, saturated)
 
     patch_lmss(_cycle_free, recording)
-    assert _th9_details_on_fig1_H() == []
-    assert Counter(frozenset(m) for _, m in calls) == Counter(oracles.all_matchings(edges))
-    newest_only = 0
-    for seeds, m in calls:
-        if not m:
-            continue
-        parent_free = oracles.is_uniquely_restricted(g.n, edges, m[:-1])
-        assert seeds == (m[-1:] if parent_free else m)
-        newest_only += len(m) > 1 and parent_free
-    assert newest_only
+    whole = 0  # matchings below a parent with a cycle, seeded at every edge
+    for g in _th9_graphs():
+        edges = oracles.edges_of(g)
+        calls.clear()
+        assert _th9_details(g) == []
+        assert Counter(frozenset(m) for _, m in calls) == Counter(oracles.all_matchings(edges))
+        newest_only = 0
+        for seeds, m in calls:
+            if not m:
+                continue
+            parent_free = oracles.is_uniquely_restricted(g.n, edges, m[:-1])
+            assert seeds == (m[-1:] if parent_free else m)
+            newest_only += len(m) > 1 and parent_free
+            whole += not parent_free
+        assert newest_only
+    assert whole
 
 
 K1, K2, K3 = complete(1), complete(2), complete(3)
