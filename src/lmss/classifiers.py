@@ -3,8 +3,8 @@
 All predicates are exact.  Well-coveredness, very well-coveredness and
 Koenig-Egervary read ``Facts(g)``, where each is defined; the others test
 the definition directly.  The test of psi members' neighbourhoods reads
-alpha and mu from the memoised recursions on the vertex mask
-(``stability._alpha_on``, ``matching._mu_on``), so no 2^n table is built.
+mu from the memoised recursion on the vertex mask (``matching._mu_on``)
+and alpha as the member's size, so no 2^n table is built.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .graphs import (
     closed_neighborhood_bits,
 )
 from .matching import _mu_on, mu
-from .stability import StableSetFamily, _alpha_on, _stable_sets, psi_enumerate
+from .stability import StableSetFamily, _stable_sets, psi_enumerate
 
 
 def maximal_stable_sets(g: Graph) -> list[int]:
@@ -109,7 +109,7 @@ def has_pendant_perfect_matching(g: Graph) -> bool:
         if g.degree(u) == 1 or g.degree(v) == 1:
             pendant_adj[u] |= 1 << v
             pendant_adj[v] |= 1 << u
-    sub = Graph(g.n, tuple(pendant_adj))
+    sub = Graph._derived(g.n, tuple(pendant_adj))
     return mu(sub) * 2 == g.n
 
 
@@ -122,12 +122,11 @@ def psi_neighborhoods_are_ke(g: Graph) -> tuple[bool, VertexSet | None]:
 
 
 def _psi_neighborhoods_are_ke(g: Graph, psi: StableSetFamily) -> tuple[bool, VertexSet | None]:
-    """``psi_neighborhoods_are_ke`` read off the psi family of g; alpha and mu
-    of the neighbourhoods are read through one memo each per call."""
-    amemo: dict[int, int] = {}
-    mmemo: dict[int, int] = {}
+    """``psi_neighborhoods_are_ke`` read off the psi family of g: a member S
+    has alpha(G[N[S]]) = |S| by definition, so only mu is computed, on one memo."""
+    memo: dict[int, int] = {}
     for m in psi.members:
         closed = closed_neighborhood_bits(g, m)
-        if _alpha_on(g, closed, amemo) + _mu_on(g, closed, mmemo) != closed.bit_count():
+        if m.bit_count() + _mu_on(g, closed, memo) != closed.bit_count():
             return False, VertexSet(g, m)
     return True, None

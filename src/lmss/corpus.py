@@ -289,6 +289,8 @@ def graph_from_key(n: int, key: int) -> Graph:
     width = n * (n - 1) // 2
     if key < 0 or key >> width:
         raise ValueError(f"key {key} does not fit the {width} vertex pairs of n = {n}")
+    if not 0 <= n <= MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     adj = [0] * n
     for i in range(n - 1):
         width -= n - 1 - i
@@ -301,7 +303,7 @@ def graph_from_key(n: int, key: int) -> Graph:
             j = n - low.bit_length()
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return Graph._derived(n, tuple(adj))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -347,7 +349,7 @@ def _augment(parents: tuple[int, ...], n: int, masks: range | list[int]) -> tupl
             adj = [a | new if mask >> v & 1 else a for v, a in enumerate(p.adj)]
             adj.append(mask)
             if _new_vertex_minimises(adj):
-                seen.add(canonical_key(Graph(n, tuple(adj))))
+                seen.add(canonical_key(Graph._derived(n, tuple(adj))))
     return tuple(sorted(seen))
 
 

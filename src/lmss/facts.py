@@ -35,12 +35,12 @@ from .stability import StableSetFamily, _alpha_on, _stable_sets, alpha
 # From this many vertices on, alpha, psi's alpha probes and the
 # perfect-matching count run on the breadth-first copy; below it, on the
 # graph itself.  Time with the copy / time without, for alpha + psi +
-# perfect_matching_count on seeded G(n, p) at p = 0.2, 0.3 and 0.5, in
-# process (Python 3.11, 2 shared cores; best of 7 alternating runs, one
-# row per measurement):
+# perfect_matching_count on 60 seeded G(n, p) at each p = 0.2, 0.3 and
+# 0.5, in process (Python 3.11, 2 shared cores; best of 7 alternating
+# runs, one row per measurement; the copy built without Graph's checks):
 #   n =  6    7    8    9    10   11   12   14   16
-#     1.37 1.31 1.12 1.07 0.95 0.93 0.80 0.72 0.70
-#     1.40 1.33 1.16 1.07 0.99 0.94 0.81 0.75 0.71
+#     1.44 1.18 1.06 0.99 0.88 0.99 0.74 0.77 0.64
+#     1.27 1.25 1.10 1.00 0.90 0.82 0.83 0.70 0.64
 _RELABEL_CROSSOVER = 10
 
 
@@ -108,7 +108,7 @@ class Facts:
                 c |= bit[low.bit_length() - 1]
                 nbrs ^= low
             closed.append(c)
-        return Graph(g.n, tuple(closed[v] ^ bit[v] for v in order)), tuple(closed)
+        return Graph._derived(g.n, tuple(closed[v] ^ bit[v] for v in order)), tuple(closed)
 
     @_fact
     def alpha(self) -> int:

@@ -4,6 +4,12 @@ Everything downstream (stable sets, matchings, greedoid checks) works on
 integer masks over the vertex set, so the capacity cap keeps every subset
 loop at 2^16 iterations worst case.  Vertices are 0-indexed integers;
 optional string labels are display metadata only.
+
+Input is checked where it enters: ``Graph(...)`` checks in ``__post_init__``
+(so do ``from_edges``, ``with_labels`` and the generators) and
+``parse_edge_list`` checks each line.  The parser and the builders of graphs
+derived from checked ones (induced subgraphs, relabelled copies, generated
+children, graphs rebuilt from keys) use the unchecked ``Graph._derived``.
 """
 
 from __future__ import annotations
@@ -90,19 +96,27 @@ class Graph:
                 raise ValueError(f"adjacency mask of vertex {v} leaves the vertex universe")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            # the walk of ``bits``, inline: every graph built passes here
-            while mask:
-                low = mask & -mask
-                u = low.bit_length() - 1
+            for u in bits(mask):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-                mask ^= low
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.n:
                 raise ValueError("labels must cover every vertex")
             if len(set(self.labels)) != self.n:
                 raise ValueError("labels must be distinct")
+
+    @classmethod
+    def _derived(cls, n: int, adj: tuple[int, ...], labels: tuple[str, ...] | None = None) -> "Graph":
+        """A graph this package derives from checked input, built without the
+        checks of ``__post_init__``: ``adj`` must be a tuple of n <= 16 symmetric,
+        loop-free masks inside the vertex universe, and ``labels`` None or valid."""
+        g = object.__new__(cls)
+        # as the dataclass's __init__ does: a __dict__ write would give each graph a dict
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "labels", labels)
+        return g
 
     @classmethod
     def from_edges(
@@ -270,7 +284,7 @@ def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
             if u in index:
                 adj[index[v]] |= 1 << index[u]
     labels = tuple(g.labels[v] for v in keep) if g.labels is not None else None
-    return Graph(len(keep), tuple(adj), labels), tuple(keep)
+    return Graph._derived(len(keep), tuple(adj), labels), tuple(keep)
 
 
 def is_connected(g: Graph) -> bool:
@@ -406,7 +420,7 @@ def parse_edge_list(text: str) -> Graph:
         adj[b] |= 1 << a
     if n is None:
         raise MalformedLineError("empty input: missing vertex count", None)
-    return Graph(n, tuple(adj))
+    return Graph._derived(n, tuple(adj))
 
 
 def serialize(g: Graph) -> str:

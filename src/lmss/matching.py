@@ -11,8 +11,8 @@ listing and th9's decision walk.  Two memoised recursions on the
 free-vertex mask answer the numeric questions: ``_mu_on`` gives the size
 of a maximum matching and ``_count_perfect_matchings_on`` the number of
 perfect matchings.  One walk, ``_matchings``, pruned by ``_mu_on``, lists
-the matchings of one size: all maximum ones, all perfect ones, the first
-perfect one, and, size by size, every matching.  ``facts.Facts`` gives
+the matchings of one size: all maximum ones, all perfect ones, and the
+first perfect one.  ``facts.Facts`` gives
 each graph one ``_mu_on`` memo, which mu and the walk share.  The counter
 only counts, so the check that a unique perfect matching is the only one
 counted shares no code with the walk that found it.  The th9 rule walks
@@ -221,10 +221,14 @@ def _mu_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
 
 
 def enumerate_matchings(g: Graph) -> list[Matching]:
-    """Every matching of g, the empty one included: by size, then in
-    lexicographic edge order, through one ``_mu_on`` memo."""
-    memo: dict[int, int] = {}
-    return [m for k in range(mu(g, memo) + 1) for m in _matchings(g, k, memo)]
+    """Every matching of g, the empty one included: by size, then in lexicographic
+    edge order.  One pass over the edges, last first, extends each matching found that
+    misses the edge; reversed, that list is lexicographic within each size."""
+    found = [((), 0)]
+    for e in reversed(g.edges()):
+        ends = 1 << e.u | 1 << e.v
+        found += [((e, *es), used | ends) for es, used in found if not used & ends]
+    return sorted((Matching(g, es) for es, _ in reversed(found)), key=len)
 
 
 def enumerate_maximum_matchings(g: Graph) -> list[Matching]:

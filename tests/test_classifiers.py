@@ -117,6 +117,22 @@ def test_psi_neighborhoods_are_ke():
         assert psi_neighborhoods_are_ke(fixture(name)) == (True, None)
 
 
+def test_psi_neighborhoods_are_ke_against_oracle_on_connected_graphs_to_seven():
+    # verdict and first witness (ascending mask order) from the definition:
+    # psi from the oracle, and Koenig-Egervary tested on G[N[S]] itself
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            e = oracles.edges_of(g)
+            adj = oracles.adj_sets(n, e)
+            bad = [s for s in oracles.psi(n, e)
+                   if not oracles.is_koenig_egervary(*oracles.induced(n, e, oracles.closed(adj, s)))]
+            first = min(bad, key=lambda s: sum(1 << v for v in s), default=None)
+            ok, witness = psi_neighborhoods_are_ke(g)
+            assert ok == (first is None), g
+            assert (None if witness is None else set(witness)) == (
+                None if first is None else set(first)), g
+
+
 def test_forest_and_bipartite():
     assert is_forest(path(6)) and not is_forest(cycle(3))
     assert is_bipartite(cycle(6)) and not is_bipartite(cycle(5))

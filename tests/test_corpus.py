@@ -391,6 +391,15 @@ def test_exhaustive_counts_at_nine():
     assert sum(it.graph.n == 9 for it in items) == 261_080
 
 
+@pytest.mark.slow
+def test_every_graph_rebuilt_from_a_key_at_nine_passes_the_checks():
+    # graph_from_key builds without Graph's checks; rebuilding each graph
+    # through them changes nothing
+    for key in graph_keys(9):
+        g = graph_from_key(9, key)
+        assert Graph(9, g.adj) == g
+
+
 @pytest.mark.parametrize("spec", [
     CorpusSpec(source="exhaustive", max_n=4),
     CorpusSpec(source="coronas", max_x=2, max_h=2),

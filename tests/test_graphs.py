@@ -28,8 +28,10 @@ from lmss import (
     serialize,
     serialize_many,
 )
-from lmss.corpus import nonisomorphic_graphs
-from lmss.fixtures import fixture
+from lmss.corpus import (_augment, graph_from_key, graph_keys, nonisomorphic_graphs,
+                         random_graphs, tree_keys)
+from lmss.facts import Facts
+from lmss.fixtures import fixture, fixture_names
 
 
 def test_graph_invariants_enforced():
@@ -60,6 +62,83 @@ def test_graph_invariants_enforced():
         Graph(2, (2, 1), labels=("a", "a"))
     with pytest.raises(ValueError, match="cover every vertex"):
         Graph(2, (2, 1), labels=("a",))
+
+
+def test_malformed_input_raises_the_same_error_through_every_public_constructor():
+    # class and message exactly, whichever way the input enters
+    cases = [
+        (lambda: Graph(17, (0,) * 17), CapacityError, "vertex count 17 outside 0..16"),
+        (lambda: Graph(-1, ()), CapacityError, "vertex count -1 outside 0..16"),
+        (lambda: Graph(2, (2,)), ValueError, "expected 2 adjacency masks, got 1"),
+        (lambda: Graph(1, (2,)), ValueError, "adjacency mask of vertex 0 leaves the vertex universe"),
+        (lambda: Graph(1, (1,)), ValueError, "self-loop at vertex 0"),
+        (lambda: Graph(3, (2, 0, 0)), ValueError, "asymmetric adjacency between 1 and 0"),
+        (lambda: Graph(2, (2, 1), ("a", "a")), ValueError, "labels must be distinct"),
+        (lambda: Graph(2, (2, 1), ("a",)), ValueError, "labels must cover every vertex"),
+        (lambda: Graph.from_edges(17, []), CapacityError, "vertex count 17 outside 0..16"),
+        (lambda: Graph.from_edges(3, [(0, 3)]), ValueError, "edge (0,3) outside 0..2"),
+        (lambda: Graph.from_edges(3, [(0, 1), (1, 0)]), ValueError, "duplicate edge (1,0)"),
+        (lambda: Graph.from_edges(2, [(1, 1)]), UsageError, "self-loop at vertex 1"),
+        (lambda: Graph.from_edges(2, [], ("a", "a")), ValueError, "labels must be distinct"),
+        (lambda: parse_edge_list(""), MalformedLineError, "empty input: missing vertex count"),
+        (lambda: parse_edge_list("-1\n"), MalformedLineError, "line 1: negative vertex count -1"),
+        (lambda: parse_edge_list("17\n"), CapacityError, "line 1: vertex count 17 exceeds 16"),
+        (lambda: parse_edge_list("2\n0 1 2\n"), MalformedLineError,
+         "line 2: expected 'u v', got '0 1 2'"),
+        (lambda: parse_edge_list("2\n0 5\n"), VertexRangeError, "line 2: edge (0,5) outside 0..1"),
+        (lambda: parse_edge_list("2\n0 0\n"), SelfLoopError, "line 2: self-loop at vertex 0"),
+        (lambda: parse_edge_list("3\n0 1\n1 0\n"), DuplicateEdgeError,
+         "line 3: duplicate edge (1,0)"),
+        (lambda: path(3).with_labels(("a", "b")), ValueError, "labels must cover every vertex"),
+        (lambda: path(2).with_labels(("a", "a")), ValueError, "labels must be distinct"),
+        (lambda: graph_from_key(-1, 0), CapacityError, "vertex count -1 outside 0..16"),
+        (lambda: graph_from_key(17, 0), CapacityError, "vertex count 17 outside 0..16"),
+        (lambda: graph_from_key(3, 1 << 3), ValueError,
+         "key 8 does not fit the 3 vertex pairs of n = 3"),
+    ]
+    for build, cls, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert (type(err.value), str(err.value)) == (cls, message)
+
+
+def _checked(g):
+    """``g`` rebuilt through every check of ``Graph``."""
+    return Graph(g.n, g.adj, g.labels)
+
+
+def test_every_derived_graph_passes_the_checks(patch_lmss):
+    # graphs built without the checks, from a graph or text already checked
+    for n in range(8):
+        for g in nonisomorphic_graphs(n):
+            assert _checked(g) == g
+    for seed, n in enumerate((10, 10, 11, 11, 12, 12, 13, 13, 14, 14, 15, 15, 16, 16, 16), 1):
+        for g in random_graphs(2, n, (0.2, 0.3, 0.5)[seed % 3], seed):
+            copy = Facts(g)._relabelled[0]
+            assert copy is not g and _checked(copy) == copy
+    for name in fixture_names():
+        g = fixture(name)
+        assert parse_edge_list(serialize(g)) == _checked(g).with_labels(None)
+        for mask in range(0, 1 << g.n, 37):
+            sub, _ = induced_subgraph(g, VertexSet(g, mask))
+            assert _checked(sub) == sub
+    # the children the generators key, and the graph of pendant edges
+    import lmss.corpus
+    import lmss.matching
+    from lmss import has_pendant_perfect_matching
+
+    seen = []
+    key, mu = lmss.corpus.canonical_key, lmss.matching.mu
+    patch_lmss(key, lambda g: seen.append(g) or key(g))
+    patch_lmss(mu, lambda g, *memo: seen.append(g) or mu(g, *memo))
+    for n in range(1, 8):
+        assert _augment(graph_keys(n - 1), n, range(1 << (n - 1))) == graph_keys(n)
+        if n > 1:
+            assert _augment(tree_keys(n - 1), n, [1 << v for v in range(n - 1)]) == tree_keys(n)
+        for g in nonisomorphic_graphs(n):
+            has_pendant_perfect_matching(g)
+    assert len(seen) > 1_000
+    assert all(_checked(g) == g for g in seen)
 
 
 def test_vertex_lookup_and_sets():
