@@ -12,6 +12,7 @@ from __future__ import annotations
 from .graphs import (
     Graph,
     VertexSet,
+    _derived,
     bits,
     closed_neighborhood_bits,
 )
@@ -109,7 +110,7 @@ def has_pendant_perfect_matching(g: Graph) -> bool:
         if g.degree(u) == 1 or g.degree(v) == 1:
             pendant_adj[u] |= 1 << v
             pendant_adj[v] |= 1 << u
-    sub = Graph._derived(g.n, tuple(pendant_adj))
+    sub = _derived(Graph, g.n, tuple(pendant_adj), None)
     return mu(sub) * 2 == g.n
 
 
@@ -118,13 +119,13 @@ def psi_neighborhoods_are_ke(g: Graph) -> tuple[bool, VertexSet | None]:
 
     Returns the first violating set (ascending mask order) when not.
     """
-    return _psi_neighborhoods_are_ke(g, psi_enumerate(g))
+    return _psi_neighborhoods_are_ke(g, psi_enumerate(g), {})
 
 
-def _psi_neighborhoods_are_ke(g: Graph, psi: StableSetFamily) -> tuple[bool, VertexSet | None]:
+def _psi_neighborhoods_are_ke(g: Graph, psi: StableSetFamily,
+                              memo: dict[int, int]) -> tuple[bool, VertexSet | None]:
     """``psi_neighborhoods_are_ke`` read off the psi family of g: a member S
-    has alpha(G[N[S]]) = |S| by definition, so only mu is computed, on one memo."""
-    memo: dict[int, int] = {}
+    has alpha(G[N[S]]) = |S| by definition, so only mu is computed, on g's memo."""
     for m in psi.members:
         closed = closed_neighborhood_bits(g, m)
         if m.bit_count() + _mu_on(g, closed, memo) != closed.bit_count():

@@ -79,7 +79,7 @@ from math import factorial
 from typing import NamedTuple
 
 from . import classifiers
-from .graphs import MAX_VERTICES, CapacityError, Graph, UsageError, bits, corona, is_connected
+from .graphs import MAX_VERTICES, CapacityError, Graph, UsageError, _derived, bits, corona, is_connected
 from .facts import Facts
 from .fixtures import fixture
 
@@ -303,7 +303,7 @@ def graph_from_key(n: int, key: int) -> Graph:
             j = n - low.bit_length()
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return Graph._derived(n, tuple(adj))
+    return _derived(Graph, n, tuple(adj), None)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -349,7 +349,7 @@ def _augment(parents: tuple[int, ...], n: int, masks: range | list[int]) -> tupl
             adj = [a | new if mask >> v & 1 else a for v, a in enumerate(p.adj)]
             adj.append(mask)
             if _new_vertex_minimises(adj):
-                seen.add(canonical_key(Graph._derived(n, tuple(adj))))
+                seen.add(canonical_key(_derived(Graph, n, tuple(adj), None)))
     return tuple(sorted(seen))
 
 

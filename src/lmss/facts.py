@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .classifiers import has_isolated_vertices
-from .graphs import Graph, bits
+from .graphs import Graph, _derived, bits
 from .greedoid import check_accessibility, check_exchange
 from .matching import (AlternatingCycle, Matching, _count_perfect_matchings_on, _matchings,
                        count_perfect_matchings, find_alternating_cycle, mu)
@@ -108,7 +108,7 @@ class Facts:
                 c |= bit[low.bit_length() - 1]
                 nbrs ^= low
             closed.append(c)
-        return Graph._derived(g.n, tuple(closed[v] ^ bit[v] for v in order)), tuple(closed)
+        return _derived(Graph, g.n, tuple(closed[v] ^ bit[v] for v in order), None), tuple(closed)
 
     @_fact
     def alpha(self) -> int:
@@ -147,16 +147,17 @@ class Facts:
 
     @_fact
     def psi(self) -> StableSetFamily:
-        """The walk's S with |S| = alpha(G[N[S]]), through the graph's alpha memo."""
+        """The walk's S with |S| = alpha(G[N[S]]): ascending, distinct, 0 in it, unchecked."""
         g, copy, memo = self.graph, self._relabelled[0], self._alpha_memo
-        return StableSetFamily(g.n, tuple(
+        return _derived(StableSetFamily, g.n, tuple(
             s for s, c in self.stable_sets if s.bit_count() == _alpha_on(copy, c, memo)), g)
 
     @_fact
     def omega(self) -> StableSetFamily:
-        """The maximum stable sets: the walk's S with |S| = alpha."""
+        """The maximum stable sets: the walk's S with |S| = alpha, unchecked as psi is."""
         a, g = self.alpha, self.graph
-        return StableSetFamily(g.n, tuple(s for s, _ in self.stable_sets if s.bit_count() == a), g)
+        return _derived(StableSetFamily, g.n, tuple(
+            s for s, _ in self.stable_sets if s.bit_count() == a), g)
 
     @_fact
     def accessibility(self) -> tuple[bool, int | None]:

@@ -7,9 +7,9 @@ optional string labels are display metadata only.
 
 Input is checked where it enters: ``Graph(...)`` checks in ``__post_init__``
 (so do ``from_edges``, ``with_labels`` and the generators) and
-``parse_edge_list`` checks each line.  The parser and the builders of graphs
-derived from checked ones (induced subgraphs, relabelled copies, generated
-children, graphs rebuilt from keys) use the unchecked ``Graph._derived``.
+``parse_edge_list`` checks each line.  Values derived from checked input
+(parsed, induced, relabelled, generated and rebuilt graphs, listed matchings,
+cycles and stable-set families) are built by ``_derived``, which runs no check.
 """
 
 from __future__ import annotations
@@ -64,6 +64,18 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _derived(cls, *values):
+    """The frozen dataclass ``cls`` holding ``values``, one per field in order
+    (``init=False`` ones too), built without the checks of ``__post_init__``:
+    for values derived from checked input, which pass those checks as they are
+    (tuples, a matching's edges sorted, its saturated mask theirs)."""
+    obj = object.__new__(cls)
+    # as the dataclass's __init__ does: a __dict__ write would give each value a dict
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class Edge(NamedTuple):
     u: int
     v: int
@@ -105,18 +117,6 @@ class Graph:
                 raise ValueError("labels must cover every vertex")
             if len(set(self.labels)) != self.n:
                 raise ValueError("labels must be distinct")
-
-    @classmethod
-    def _derived(cls, n: int, adj: tuple[int, ...], labels: tuple[str, ...] | None = None) -> "Graph":
-        """A graph this package derives from checked input, built without the
-        checks of ``__post_init__``: ``adj`` must be a tuple of n <= 16 symmetric,
-        loop-free masks inside the vertex universe, and ``labels`` None or valid."""
-        g = object.__new__(cls)
-        # as the dataclass's __init__ does: a __dict__ write would give each graph a dict
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        object.__setattr__(g, "labels", labels)
-        return g
 
     @classmethod
     def from_edges(
@@ -284,7 +284,7 @@ def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
             if u in index:
                 adj[index[v]] |= 1 << index[u]
     labels = tuple(g.labels[v] for v in keep) if g.labels is not None else None
-    return Graph._derived(len(keep), tuple(adj), labels), tuple(keep)
+    return _derived(Graph, len(keep), tuple(adj), labels), tuple(keep)
 
 
 def is_connected(g: Graph) -> bool:
@@ -420,7 +420,7 @@ def parse_edge_list(text: str) -> Graph:
         adj[b] |= 1 << a
     if n is None:
         raise MalformedLineError("empty input: missing vertex count", None)
-    return Graph._derived(n, tuple(adj))
+    return _derived(Graph, n, tuple(adj), None)
 
 
 def serialize(g: Graph) -> str:

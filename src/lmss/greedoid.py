@@ -182,13 +182,6 @@ class AccessibilityChain:
     graph: Graph
     vertices: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("chain repeats a vertex")
-        for v in self.vertices:
-            if not 0 <= v < self.graph.n:
-                raise ValueError(f"vertex {v} outside the graph")
-
     def prefixes(self) -> Iterator[VertexSet]:
         m = 0
         for v in self.vertices:

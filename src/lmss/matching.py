@@ -5,38 +5,41 @@ of the subgraph induced by the vertices it saturates; equivalently, when
 the graph has no M-alternating cycle.  The alternating-cycle route is the
 implementation; the enumeration route stays available as an oracle.
 
-Each matching concept has one search, with two exceptions: the
-alternating cycle has a listing and a decision, and the matchings have a
-listing and th9's decision walk.  Two memoised recursions on the
-free-vertex mask answer the numeric questions: ``_mu_on`` gives the size
-of a maximum matching and ``_count_perfect_matchings_on`` the number of
-perfect matchings.  One walk, ``_matchings``, pruned by ``_mu_on``, lists
-the matchings of one size: all maximum ones, all perfect ones, and the
-first perfect one.  ``facts.Facts`` gives
-each graph one ``_mu_on`` memo, which mu and the walk share.  The counter
-only counts, so the check that a unique perfect matching is the only one
-counted shares no code with the walk that found it.  The th9 rule walks
-every matching of a graph itself, keeping the mate array and saturated
-mask in place, and builds no ``Matching`` per matching: it needs them in
-no order, and on the coronas a generator resume and a tuple per matching
-took about a third of its time.
+Each matching concept has one search, with two exceptions: the alternating
+cycle has a listing and a decision, and the matchings have a listing and
+th9's decision walk.  Two memoised recursions on the free-vertex mask
+answer the numeric questions: ``_mu_on`` gives the size of a maximum
+matching and ``_count_perfect_matchings_on`` the number of perfect
+matchings.  One walk, ``_matchings``, pruned by ``_mu_on``, lists the
+matchings of one size: all maximum ones, all perfect ones, and the first
+perfect one.  ``facts.Facts`` gives each graph one ``_mu_on`` memo, which
+mu, the walk, th3 and th11 share.  The counter only counts, so the check
+that a unique perfect matching is the only one counted shares no code with
+the walk that found it.  The th9 rule walks every matching of a graph
+itself, keeping the mate array and saturated mask in place, and builds no
+``Matching`` per matching: it needs them in no order, and on the coronas a
+generator resume and a tuple per matching took about a third of its time.
+
+``Matching(...)``, ``Matching.of`` and ``AlternatingCycle(...)`` check their
+input.  The searches build their matchings (with the saturated mask they
+kept) and cycles from g's own edges through ``graphs._derived``, unchecked.
 
 Two searches run on masks and build no ``AlternatingCycle``.
 ``_alternating_cycles`` yields as vertex tuples the alternating cycles,
 for the matching a mate array describes, through the seed edges it is
 given: every cycle when every matched edge is a seed.  ``_cycle_free``
-decides whether such a cycle exists.  The two cycle searches are kept apart on purpose.  The listing
-extends through ascending neighbours, unsaturated ones included, and
-closes a cycle at the seed, so its first cycle is the certificate that
-reports and demos print; that order must stay.  The decision needs no
-order: it steps only onto saturated vertices off the path, keeps no path
-list, and stops at the first end that closes a cycle, so a shared DFS
-would have to branch on its caller.  The cycle objects are built only
-at the public boundary: ``find_alternating_cycle`` and
+decides whether such a cycle exists.  The two are kept apart on purpose.
+The listing extends through ascending neighbours, unsaturated ones
+included, and closes a cycle at the seed, so its first cycle is the
+certificate that reports and demos print; that order must stay.  The
+decision needs no order: it steps only onto saturated vertices off the
+path, keeps no path list, and stops at the first end that closes a cycle,
+so a shared DFS would have to branch on its caller.  The cycle objects are
+built only at the public boundary: ``find_alternating_cycle`` and
 ``enumerate_alternating_cycles`` wrap listed cycles in
-``AlternatingCycle``s; ``is_uniquely_restricted`` runs the decision on
-the matching's saturated mask.  All three seed every matched edge.  The
-th9 rule runs the decision on its own walk's mate array and mask.
+``AlternatingCycle``s; ``is_uniquely_restricted`` runs the decision on the
+matching's saturated mask.  All three seed every matched edge.  The th9
+rule runs the decision on its own walk's mate array and mask.
 
 The unique-perfect-matching question is one search, the
 ``perfect_matching_search`` fact of ``facts.Facts``: the first perfect
@@ -63,6 +66,7 @@ from .graphs import (
     MismatchError,
     UsageError,
     VertexSet,
+    _derived,
     bits,
 )
 
@@ -228,7 +232,7 @@ def enumerate_matchings(g: Graph) -> list[Matching]:
     for e in reversed(g.edges()):
         ends = 1 << e.u | 1 << e.v
         found += [((e, *es), used | ends) for es, used in found if not used & ends]
-    return sorted((Matching(g, es) for es, _ in reversed(found)), key=len)
+    return sorted((_derived(Matching, g, es, used) for es, used in reversed(found)), key=len)
 
 
 def enumerate_maximum_matchings(g: Graph) -> list[Matching]:
@@ -290,9 +294,9 @@ def _matchings(g: Graph, size: int, memo: dict[int, int]):
     """
     chosen: list[Edge] = []
 
-    def walk(avail: int, need: int):
+    def walk(avail: int, need: int, used: int):
         if not need:
-            yield Matching(g, tuple(chosen))
+            yield _derived(Matching, g, tuple(chosen), used)
             return
         low = avail & -avail
         v = low.bit_length() - 1
@@ -302,15 +306,15 @@ def _matchings(g: Graph, size: int, memo: dict[int, int]):
             sub = avail ^ low ^ u
             if _mu_on(g, sub, memo) >= need - 1:
                 chosen.append(Edge(v, u.bit_length() - 1))
-                yield from walk(sub, need - 1)
+                yield from walk(sub, need - 1, used | low | u)
                 chosen.pop()
             rest ^= u
         # with 2 * need free vertices left, v must be matched
         if 2 * need < avail.bit_count() and _mu_on(g, avail ^ low, memo) >= need:
-            yield from walk(avail ^ low, need)
+            yield from walk(avail ^ low, need, used)
 
     if _mu_on(g, g.full_mask, memo) >= size:
-        yield from walk(g.full_mask, size)
+        yield from walk(g.full_mask, size, 0)
 
 
 def _mate_of(g: Graph, m: Matching) -> list[int]:
@@ -400,7 +404,7 @@ def _cycle_free(adj: tuple[int, ...], seeds: tuple[Edge, ...], mate: list[int],
 
 def _cycle_of(g: Graph, vertices: tuple[int, ...]) -> AlternatingCycle:
     flags = tuple(i % 2 == 0 for i in range(len(vertices)))
-    return AlternatingCycle(g, vertices, flags)
+    return _derived(AlternatingCycle, g, vertices, flags)
 
 
 def find_alternating_cycle(g: Graph, m: Matching) -> AlternatingCycle | None:
@@ -461,7 +465,7 @@ def _find_alternating_c4(g: Graph, m: Matching) -> AlternatingCycle | None:
                     and not g.adjacent(a, p)
                     and not g.adjacent(b, q)
                 ):
-                    return AlternatingCycle(g, (a, b, p, q), (True, False, True, False))
+                    return _derived(AlternatingCycle, g, (a, b, p, q), (True, False, True, False))
     return None
 
 

@@ -23,8 +23,9 @@ the graph, so every S is a mask of the graph, but it carries N[S] in the
 copy's labels, for alpha to read.
 
 Each family is a ``StableSetFamily``: a ``SetSystem`` whose ground set is
-the graph's vertices.  It is validated once, when it is built, and the
-greedoid axiom checks read it as it is.
+the graph's vertices.  Its constructors check the members; ``Facts`` builds
+psi and omega, ascending and distinct by the walk, unchecked, and the
+greedoid axiom checks read a family as it is.
 
 Rules lem3 and lem65 check the paper's two shortcuts for very well-covered
 graphs, ``_psi_member_counting`` and ``_chain_grows``, against psi.

@@ -25,17 +25,17 @@ one mate array and saturated mask in place instead of yielding a tuple
 per matching.  For every matching it runs both routes once: the
 alternating-cycle decision ``_cycle_free`` on the mate array and mask,
 and the count ``_count_perfect_matchings_on`` on the mask, through the
-item's count memo.  It builds a ``Matching`` only to describe a
-violation.  Each matching's parent (it minus its newest edge) is the
+item's count memo.  It builds a ``Matching``, unchecked, only to describe
+a violation.  Each matching's parent (it minus its newest edge) is the
 latest matching one edge smaller; when the parent is cycle-free, the
 decision starts at the newest edge alone.
 th4 reads alpha(G - uv) on a mask of G, through one memo per graph, and
 finds mu(G - uv) < mu(G) exactly for the edges common to every maximum
-matching.  th11 builds no perfect matching: it reads one ``_mu_on`` memo
-edge by edge, mu(G) and mu(G - x - y) for each edge xy without property P.
+matching.  th3 and th11 read the item's ``_mu_on`` memo; th11 builds no
+perfect matching, and asks mu(G - x - y) for each edge xy without P.
 lem1 reads the perfect matchings among the maximum ones and searches
-each of their edges once for a chordless cycle.  lem2 and equiv7
-run the square search unchecked, on matchings maximum by construction.
+each of their edges once for a chordless cycle.  lem2 and equiv7 run the
+square search unchecked, on matchings maximum by construction.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .graphs import Edge, UsageError, VertexSet, bits, serialize
+from .graphs import Edge, UsageError, VertexSet, _derived, bits, serialize
 from .stability import _alpha_on, _chain_grows, _psi_member_counting
 from .matching import (
     Matching,
@@ -112,7 +112,7 @@ def _check_th2(item: Facts) -> list[str]:
 
 
 def _check_th3(item: Facts) -> list[str]:
-    ok, witness = _psi_neighborhoods_are_ke(item.graph, item.psi)
+    ok, witness = _psi_neighborhoods_are_ke(item.graph, item.psi, item._mu_memo)
     if not ok:
         return [f"N[{witness!r}] induces a non-Koenig-Egervary graph"]
     return []
@@ -130,6 +130,7 @@ def _check_th4(item: Facts) -> list[str]:
     # mu(G - uv) < mu(G) exactly when uv lies in every maximum matching
     in_every = set.intersection(*(set(m.edges) for m in item.maximum_matchings))
     bip = is_bipartite(g)
+    # g's own masks: item._alpha_memo holds the relabelled copy's from _RELABEL_CROSSOVER on
     memo: dict[int, int] = {}
     for u, v in g.edges():
         # a stable set of G - uv beating alpha(G) is {u, v} plus one outside N[u] | N[v]
@@ -167,7 +168,7 @@ def _check_th9(item: Facts) -> list[str]:
     The matchings come from a DFS over ``g.edges()``, the empty one first, each followed
     by its extensions by later edges that miss its saturated mask, so P is the latest
     matching one edge smaller.  The edges come from g and the mask keeps them disjoint,
-    so ``chosen`` is a matching without a check."""
+    so ``chosen`` is a matching, with the saturated mask, without a check."""
     g = item.graph
     adj, counts, edges = g.adj, item._pm_counts, g.edges()
     n_edges = len(edges)
@@ -186,7 +187,7 @@ def _check_th9(item: Facts) -> list[str]:
         free.append(by_cycle)
         by_count = _count_perfect_matchings_on(g, saturated, counts) == 1
         if by_cycle != by_count:
-            m = Matching(g, tuple(chosen))
+            m = _derived(Matching, g, tuple(chosen), saturated)
             out.append(f"{m!r}: alternating-cycle route {by_cycle}, enumeration {by_count}")
         # the next matching: chosen plus the next edge that misses saturated, else backtrack
         while True:
@@ -218,15 +219,14 @@ def _check_th11(item: Facts) -> list[str]:
     """Every perfect matching has P exactly when a perfect matching exists,
     mu(G) = n/2, and no edge without P lies in one, mu(G - x - y) < n/2 - 1
     for each such edge xy: P is a condition on each matched edge alone.
-    One ``_mu_on`` memo answers every mu, and n = 0 has the empty matching.
+    The item's ``_mu_on`` memo answers every mu, and n = 0 has the empty matching.
 
     Favaron's hypothesis, no isolated vertex, is implied: an isolated
     vertex makes the graph not very well-covered and leaves it no perfect
     matching, so both sides are False."""
     g = item.graph
     adj, full, half = g.adj, g.full_mask, g.n // 2
-    memo: dict[int, int] = {}
-    rhs = g.n % 2 == 0 and _mu_on(g, full, memo) == half
+    rhs = g.n % 2 == 0 and item.mu == half
     x = 0
     while rhs and x < g.n:
         # the edges xy with y > x, as bits
@@ -234,7 +234,7 @@ def _check_th11(item: Facts) -> list[str]:
         while later:
             low = later & -later
             if (not _edge_has_p(adj, x, low.bit_length() - 1)
-                    and _mu_on(g, full ^ 1 << x ^ low, memo) == half - 1):
+                    and _mu_on(g, full ^ 1 << x ^ low, item._mu_memo) == half - 1):
                 rhs = False
                 break
             later ^= low

@@ -1,22 +1,31 @@
+from collections import Counter
+
 import pytest
 
 import oracles
 from lmss import (
+    AlternatingCycle,
     CapacityError,
     DuplicateEdgeError,
     Edge,
     Graph,
     MalformedLineError,
+    Matching,
     MismatchError,
     SelfLoopError,
+    SetSystem,
+    StableSetFamily,
     UsageError,
     VertexRangeError,
     VertexSet,
+    accessibility_chain,
     closed_neighborhood,
     complete,
     corona,
     cycle,
     empty_graph,
+    enumerate_alternating_cycles,
+    enumerate_matchings,
     girth,
     induced_subgraph,
     is_connected,
@@ -28,10 +37,13 @@ from lmss import (
     serialize,
     serialize_many,
 )
-from lmss.corpus import (_augment, graph_from_key, graph_keys, nonisomorphic_graphs,
-                         random_graphs, tree_keys)
+from lmss.corpus import (_augment, connected_graphs, graph_from_key, graph_keys,
+                         nonisomorphic_graphs, random_graphs, tree_keys)
 from lmss.facts import Facts
 from lmss.fixtures import fixture, fixture_names
+from lmss.graphs import _derived
+from lmss.matching import _cycle_free, _find_alternating_c4
+from lmss.theorems import _check_th9
 
 
 def test_graph_invariants_enforced():
@@ -139,6 +151,108 @@ def test_every_derived_graph_passes_the_checks(patch_lmss):
             has_pendant_perfect_matching(g)
     assert len(seen) > 1_000
     assert all(_checked(g) == g for g in seen)
+
+
+def test_malformed_values_raise_the_same_error_through_every_public_constructor():
+    # matchings, alternating cycles and set systems: class and message exactly
+    p3, c4 = path(3), cycle(4)
+    labelled = p3.with_labels(("a", "b", "c"))
+    share = "edges share a vertex at Edge(u=1, v=2)"
+    absent = "edge Edge(u=0, v=2) is not present in the graph"
+    cases = [
+        (lambda: Matching(p3, ((0, 1),)), UsageError, "matching edges must be Edge values"),
+        (lambda: Matching(p3, (Edge(0, 2),)), MismatchError, absent),
+        (lambda: Matching(p3, (Edge(0, 5),)), MismatchError,
+         "edge Edge(u=0, v=5) is not present in the graph"),
+        (lambda: Matching(p3, (Edge(1, 2), Edge(0, 1))), UsageError, share),
+        (lambda: Matching(p3, (Edge(0, 1), Edge(0, 1))), UsageError,
+         "edges share a vertex at Edge(u=0, v=1)"),
+        (lambda: Matching.of(p3, (0, 0)), UsageError, "self-loop at vertex 0"),
+        (lambda: Matching.of(p3, (0, 3)), UsageError, "vertex 3 outside 0..2"),
+        (lambda: Matching.of(labelled, ("a", "z")), UsageError, "unknown vertex label 'z'"),
+        (lambda: Matching.of(p3, ("a", "b")), UsageError, "graph has no labels, cannot resolve 'a'"),
+        (lambda: Matching.of(p3, (0, 2)), MismatchError, absent),
+        (lambda: Matching.of(p3, (1, 0), (2, 1)), UsageError, share),
+        (lambda: AlternatingCycle(c4, (0, 1, 2), (True, False, True)), ValueError,
+         "alternating cycles have even length >= 4"),
+        (lambda: AlternatingCycle(c4, (0, 1), (True, False)), ValueError,
+         "alternating cycles have even length >= 4"),
+        (lambda: AlternatingCycle(c4, (0, 1, 0, 1), (True, False, True, False)), ValueError,
+         "malformed cycle"),
+        (lambda: AlternatingCycle(c4, (0, 1, 2, 3), (True, False)), ValueError, "malformed cycle"),
+        (lambda: AlternatingCycle(c4, (0, 2, 1, 3), (True, False, True, False)), ValueError,
+         "cycle step 0-2 is not an edge"),
+        (lambda: AlternatingCycle(c4, (0, 1, 2, 3), (True, True, False, False)), ValueError,
+         "cycle edges do not alternate"),
+        (lambda: SetSystem(3, ()), UsageError, "set systems must be non-empty families"),
+        (lambda: SetSystem(3, (2, 1)), ValueError, "members must be distinct and ascending"),
+        (lambda: SetSystem(3, (1, 1)), ValueError, "members must be distinct and ascending"),
+        (lambda: SetSystem(2, (0, 4)), ValueError, "member outside the ground set"),
+        (lambda: SetSystem.from_sets(3, []), UsageError, "set systems must be non-empty families"),
+        (lambda: SetSystem.from_sets(2, [(), (2,)]), ValueError, "member outside the ground set"),
+        (lambda: StableSetFamily(3, (), p3), UsageError, "set systems must be non-empty families"),
+        (lambda: StableSetFamily(3, (5, 0), p3), ValueError,
+         "members must be distinct and ascending"),
+        (lambda: StableSetFamily(2, (0, 4), path(2)), ValueError, "member outside the ground set"),
+    ]
+    for build, cls, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert (type(err.value), str(err.value)) == (cls, message)
+
+
+def _rebuilt(value):
+    """``value`` built again through its public constructor, every check run."""
+    if isinstance(value, Graph):
+        return Graph(value.n, value.adj, value.labels)
+    if isinstance(value, Matching):
+        return Matching(value.graph, value.edges)
+    if isinstance(value, AlternatingCycle):
+        return AlternatingCycle(value.graph, value.vertices, value.in_matching)
+    return StableSetFamily(value.ground_size, value.members, value.graph)
+
+
+def test_every_derived_value_equals_its_checked_rebuild(patch_lmss):
+    # every value built without the checks, wherever it is built, against its rebuild;
+    # == compares the class and every compared field, and no field may be a list
+    built = Counter()
+
+    def checked(cls, *values):
+        assert not any(isinstance(field, list) for field in values)
+        value = _derived(cls, *values)
+        again = _rebuilt(value)
+        assert again == value
+        if cls is Matching:
+            assert again.saturated_bits == value.saturated_bits
+        built[cls.__name__] += 1
+        return value
+
+    patch_lmss(_derived, checked)
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [g for seed, n in enumerate(range(10, 17), 1) for g in random_graphs(2, n, 0.2, seed)]
+    chains = 0
+    for g in graphs:
+        facts = Facts(g)
+        if g.n < 8:
+            enumerate_matchings(g)
+        facts.perfect_matching_search
+        for m in facts.maximum_matchings:
+            enumerate_alternating_cycles(g, m)
+            _find_alternating_c4(g, m)
+        facts.omega
+        for s in facts.psi:
+            chain = accessibility_chain(g, s)
+            if chain is not None:
+                # a chain runs no check: it holds each vertex of s once, its prefixes in psi
+                assert sorted(chain.vertices) == list(s)
+                assert all(prefix in facts.psi for prefix in chain.prefixes())
+                chains += 1
+    # th9 builds a matching only for a violation, so the cycle route is negated
+    patch_lmss(_cycle_free, lambda *args: not _cycle_free(*args))
+    violations = sum(len(_check_th9(Facts(g))) for g in graphs[:200])
+    assert violations > 5_000 and chains > 10_000
+    assert built["StableSetFamily"] == 2 * len(graphs) and built["Graph"] > len(graphs)
+    assert built["Matching"] > 70_000 and built["AlternatingCycle"] > 100_000
 
 
 def test_vertex_lookup_and_sets():

@@ -108,6 +108,19 @@ def test_enumerations_against_oracle(connected_upto_6):
         assert count_perfect_matchings(g) == len(oracles.perfect_matchings(g.n, e))
 
 
+@pytest.mark.slow
+def test_every_matching_of_the_connected_graphs_at_eight_passes_the_checks():
+    # the listing builds its matchings unchecked; rebuild each through Matching(...)
+    listed = 0
+    for g in connected_graphs(8):
+        for m in enumerate_matchings(g):
+            again = Matching(g, m.edges)
+            assert again == m and again.saturated_bits == m.saturated_bits
+            listed += 1
+    # the sum of the 11,117 graphs' Hosoya indices (their numbers of matchings)
+    assert listed == 1_515_448
+
+
 def test_mu_after_the_matching_searches_is_one_lookup_in_the_graph_memo(connected_upto_6,
                                                                        patch_lmss):
     # the perfect-matching search and the maximum matchings ask mu in the

@@ -116,6 +116,21 @@ def test_verify_computes_well_covered_once_per_item(patch_lmss):
     assert len(calls) == len(set(calls))
 
 
+def test_th8_th3_and_th11_fill_the_items_one_mu_memo(patch_lmss):
+    # the perfect-matching search, psi's neighbourhoods and the edges without
+    # property P all read and fill the mu memo of the item
+    from lmss.matching import _mu_on
+
+    memos = []
+    patch_lmss(_mu_on, lambda g, avail, memo: memos.append(memo) or _mu_on(g, avail, memo))
+    item = Facts(fixture("fig8_G1"))
+    assert item.very_well_covered
+    for name in ("th8", "th3", "th11"):
+        assert RULES[name].check(item) == []
+    assert memos and all(memo is item._mu_memo for memo in memos)
+    assert item.mu == 4 and len(item._mu_memo) > 10
+
+
 def test_lem3_and_lem65_report_a_shortcut_that_disagrees_with_psi(patch_lmss):
     # each rule compares its shortcut with membership in psi: flip the
     # shortcut's answer on one set and the rule must report that set alone
