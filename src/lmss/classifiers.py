@@ -12,17 +12,19 @@ from __future__ import annotations
 from .graphs import (
     Graph,
     VertexSet,
+    _components,
     _derived,
     bits,
     closed_neighborhood_bits,
 )
 from .matching import _mu_on, mu
-from .stability import StableSetFamily, _stable_sets, psi_enumerate
+from .stability import StableSetFamily, psi_enumerate
 
 
 def maximal_stable_sets(g: Graph) -> list[int]:
     """All inclusion-wise maximal stable sets, as masks in ascending order."""
-    return [s for s, c in _stable_sets(g) if c == g.full_mask]
+    from .facts import Facts
+    return [s for s, c in Facts(g).stable_sets if c == g.full_mask]
 
 
 def is_well_covered(g: Graph) -> bool:
@@ -87,18 +89,7 @@ def is_bipartite(g: Graph) -> bool:
 
 def is_forest(g: Graph) -> bool:
     """Acyclic: a graph with c components is a forest iff it has n - c edges."""
-    unseen = g.full_mask
-    components = 0
-    while unseen:
-        components += 1
-        frontier = unseen & -unseen
-        while frontier:
-            unseen &= ~frontier
-            reach = 0
-            for v in bits(frontier):
-                reach |= g.adj[v]
-            frontier = reach & unseen
-    return g.edge_count == g.n - components
+    return g.edge_count == g.n - _components(g)
 
 
 def has_pendant_perfect_matching(g: Graph) -> bool:

@@ -6,8 +6,11 @@ else reads that table and ``FILTERS``, so a new source is one entry there.
 
 A corpus item is a ``Facts``: its graph, its name and, for coronas, the
 ``Facts`` of its parts, with every per-graph fact computed on first use.  A filter
-reads the item, so the fact it decides is the cached one that the rules
-of ``verify`` read next.
+reads the item, so the ``vwc`` filter's verdict is the cached one that the
+rules of ``verify`` read next.  The ``bipartite``, ``forest`` and
+``connected`` filters call a graph predicate, which the item does not
+cache, so a rule that asks it again computes it again: th2 calls
+``is_forest``, and th4 and th22 call ``is_bipartite``.
 
 Exhaustive generation augments the (n-1)-vertex catalogue by one vertex
 and rejects isomorphs by a canonical key.  Graphs try every neighbourhood

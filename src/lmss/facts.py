@@ -11,11 +11,16 @@ so are the maximum matchings and the unique-perfect-matching search, on
 its one mu memo; the public function of the same fact returns
 ``Facts(g)``'s value.
 
-alpha, psi's alpha probes and the perfect-matching count run on a copy of
-the graph relabelled in breadth-first order (``_relabelled``), whose
-memos are smaller, since their recursions branch on the lowest vertex of
-a mask.  The stable-set walk stays on the graph, so psi's members are
-masks of the graph, but the walk's N[S] is in the copy's labels.  The
+alpha, the alpha probes of psi and of rule th4, and the perfect-matching
+count run on the copy that ``_relabelled`` returns, together with a table
+of N[v] in the copy's labels for each vertex v.  From
+``_RELABEL_CROSSOVER`` vertices on, the copy is the graph relabelled in
+breadth-first order, whose memos are smaller, since their recursions
+branch on the lowest vertex of a mask; below it, the copy is the graph
+itself.  Every reader takes the copy and the table as they are, so the
+crossover chooses only the vertex order.  The stable-set walk stays on
+the graph, so psi's members are masks of the graph, but the walk's N[S]
+is in the copy's labels, as are the one alpha memo's masks.  The
 matching searches, their certificates and the mu memo stay on the
 graph's own labels.
 """
@@ -89,13 +94,13 @@ class Facts:
     _pm_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     @_fact
-    def _relabelled(self) -> tuple[Graph, tuple[int, ...] | None]:
+    def _relabelled(self) -> tuple[Graph, tuple[int, ...]]:
         """The graph relabelled in breadth-first order, and N[v] in its labels
-        for each vertex v of the graph; below ``_RELABEL_CROSSOVER`` vertices,
-        the graph itself and None, which ``_stable_sets`` reads as N[v]."""
+        for each vertex v of the graph; below ``_RELABEL_CROSSOVER`` vertices
+        the order is the graph's own, so the copy is the graph itself."""
         g = self.graph
         if g.n < _RELABEL_CROSSOVER:
-            return g, None
+            return g, tuple(nbrs | 1 << v for v, nbrs in enumerate(g.adj))
         order = _breadth_first_order(g)
         bit = [0] * g.n
         for i, v in enumerate(order):

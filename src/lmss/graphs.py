@@ -287,18 +287,24 @@ def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     return _derived(Graph, len(keep), tuple(adj), labels), tuple(keep)
 
 
+def _components(g: Graph) -> int:
+    """The number of connected components of g."""
+    unseen = g.full_mask
+    components = 0
+    while unseen:
+        components += 1
+        frontier = unseen & -unseen
+        while frontier:
+            unseen &= ~frontier
+            reach = 0
+            for v in bits(frontier):
+                reach |= g.adj[v]
+            frontier = reach & unseen
+    return components
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        new = 0
-        for v in bits(frontier):
-            new |= g.adj[v]
-        frontier = new & ~seen
-        seen |= frontier
-    return seen == g.full_mask
+    return _components(g) <= 1
 
 
 def girth(g: Graph) -> int | None:

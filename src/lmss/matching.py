@@ -502,21 +502,12 @@ def _edge_has_p(adj: tuple[int, ...], x: int, y: int) -> bool:
 def _chordless_cycle_through(g: Graph, x: int, y: int) -> list[int] | None:
     """A chordless cycle of length 3 or of length 5 and up through the edge
     xy, as a vertex list from x, else None: a common neighbour first, then
-    an induced path of at least 4 edges.  In a very well-covered graph no
-    perfect-matching edge has one; rule lem1 checks that edge by edge."""
+    an induced x..y path of at least 4 edges whose only extra adjacency is
+    xy itself.  In a very well-covered graph no perfect-matching edge has
+    one; rule lem1 checks that edge by edge."""
     common = g.adj[x] & g.adj[y]
     if common:
         return [x, y, next(bits(common))]
-    return _induced_path(g, x, y, min_edges=4)
-
-
-def _induced_path(g: Graph, x: int, y: int, min_edges: int) -> list[int] | None:
-    """An induced x..y path with >= min_edges edges whose only extra
-    adjacency is the edge xy itself, else None.
-
-    Closing such a path with the edge xy yields a chordless cycle, which is
-    what ``_chordless_cycle_through`` is after.
-    """
 
     def dfs(path, onpath):
         u = path[-1]
@@ -524,7 +515,7 @@ def _induced_path(g: Graph, x: int, y: int, min_edges: int) -> list[int] | None:
         for w in bits(g.adj[u]):
             if w == y:
                 # y may touch only x (the closing edge) and the path's end
-                if len(path) >= min_edges and not g.adj[y] & interior & ~(1 << x):
+                if len(path) >= 4 and not g.adj[y] & interior & ~(1 << x):
                     return path + [y]
                 continue
             if onpath >> w & 1:

@@ -15,12 +15,15 @@ lists each stable set S together with N[S], in ascending mask order:
 * the maximal stable sets (``classifiers.maximal_stable_sets``) keep
   N[S] = V.
 
-``facts.Facts`` defines psi and the maximum stable sets on one walk and one
-alpha memo per graph; ``psi_enumerate`` and ``omega_enumerate`` read them there.
-From ``facts._RELABEL_CROSSOVER`` vertices on, alpha runs on a copy of the
-graph in breadth-first order, where its memo is smaller; the walk stays on
-the graph, so every S is a mask of the graph, but it carries N[S] in the
-copy's labels, for alpha to read.
+``facts.Facts`` takes the one walk per graph, and defines psi and the
+maximum stable sets on it and on one alpha memo; ``psi_enumerate``,
+``omega_enumerate`` and ``classifiers.maximal_stable_sets`` read them there.
+alpha runs on the copy that ``Facts._relabelled`` returns (from
+``facts._RELABEL_CROSSOVER`` vertices on, the graph in breadth-first order,
+where its memo is smaller; below it, the graph itself) with a table of N[v]
+in the copy's labels.  The walk stays on the graph, so every S is a mask of
+the graph, but it builds N[S] from that table, in the copy's labels, for
+alpha to read.
 
 Each family is a ``StableSetFamily``: a ``SetSystem`` whose ground set is
 the graph's vertices.  Its constructors check the members; ``Facts`` builds
@@ -75,12 +78,10 @@ def _alpha_on(g: Graph, avail: int, memo: dict[int, int]) -> int:
     return best
 
 
-def _stable_sets(g: Graph, closed: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
+def _stable_sets(g: Graph, closed: tuple[int, ...]) -> list[tuple[int, int]]:
     """Every stable set S of g with its closed neighbourhood, as ``(S, N[S])``
-    mask pairs in ascending order of S.
-
-    ``closed[v]`` is N[v] in the labels that N[S] is wanted in: ``Facts``
-    passes those of its relabelled copy.  By default N[S] is in g's own.
+    mask pairs in ascending order of S, where ``closed[v]`` is N[v] in the
+    labels that N[S] is wanted in.
 
     Built by top-vertex doubling: before vertex v the list holds every
     stable set on vertices below v; each of those that misses N(v) gains v.
@@ -89,9 +90,8 @@ def _stable_sets(g: Graph, closed: tuple[int, ...] | None = None) -> list[tuple[
     ascending with no sort.
     """
     walk = [(0, 0)]
-    for v, nbrs in enumerate(g.adj):
+    for v, (nbrs, cv) in enumerate(zip(g.adj, closed)):
         bit = 1 << v
-        cv = nbrs | bit if closed is None else closed[v]
         walk += [(s | bit, c | cv) for s, c in walk if not s & nbrs]
     return walk
 

@@ -29,10 +29,11 @@ item's count memo.  It builds a ``Matching``, unchecked, only to describe
 a violation.  Each matching's parent (it minus its newest edge) is the
 latest matching one edge smaller; when the parent is cycle-free, the
 decision starts at the newest edge alone.
-th4 reads alpha(G - uv) on a mask of G, through one memo per graph, and
-finds mu(G - uv) < mu(G) exactly for the edges common to every maximum
-matching.  th3 and th11 read the item's ``_mu_on`` memo; th11 builds no
-perfect matching, and asks mu(G - x - y) for each edge xy without P.
+th4 reads alpha(G - uv) on a mask of the item's relabelled copy, through
+the item's one alpha memo, and finds mu(G - uv) < mu(G) exactly for the
+edges common to every maximum matching.  th3 and th11 read the item's
+``_mu_on`` memo; th11 builds no perfect matching, and asks mu(G - x - y)
+for each edge xy without P.
 lem1 reads the perfect matchings among the maximum ones and searches
 each of their edges once for a chordless cycle.  lem2 and equiv7 run the
 square search unchecked, on matchings maximum by construction.
@@ -130,11 +131,10 @@ def _check_th4(item: Facts) -> list[str]:
     # mu(G - uv) < mu(G) exactly when uv lies in every maximum matching
     in_every = set.intersection(*(set(m.edges) for m in item.maximum_matchings))
     bip = is_bipartite(g)
-    # g's own masks: item._alpha_memo holds the relabelled copy's from _RELABEL_CROSSOVER on
-    memo: dict[int, int] = {}
+    (copy, closed), full, memo = item._relabelled, g.full_mask, item._alpha_memo
     for u, v in g.edges():
         # a stable set of G - uv beating alpha(G) is {u, v} plus one outside N[u] | N[v]
-        alpha_critical = 2 + _alpha_on(g, g.full_mask & ~(g.adj[u] | g.adj[v]), memo) > a0
+        alpha_critical = 2 + _alpha_on(copy, full & ~(closed[u] | closed[v]), memo) > a0
         mu_critical = (u, v) in in_every
         if alpha_critical and not mu_critical:
             out.append(f"edge ({u},{v}) alpha-critical but not mu-critical")

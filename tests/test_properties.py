@@ -230,7 +230,8 @@ def test_stable_set_walk_against_definition(g):
         for s in oracles.all_subsets(range(g.n))
         if oracles.is_stable(adj, s)
     )
-    assert _stable_sets(g) == expected
+    closed = tuple(_mask(oracles.closed(adj, {v})) for v in range(g.n))
+    assert _stable_sets(g, closed) == expected
 
 
 @given(graphs(max_n=7))

@@ -16,6 +16,7 @@ from lmss import (
     empty_graph,
     extends_to_maximum,
     is_stable,
+    maximal_stable_sets,
     omega_enumerate,
     path,
     psi_enumerate,
@@ -68,7 +69,7 @@ def _relabel_mask(mask, perm):
 def test_the_copy_is_the_graph_below_the_crossover_and_breadth_first_from_it():
     assert _RELABEL_CROSSOVER == 10
     nine = path(9)
-    assert Facts(nine)._relabelled == (nine, None)
+    assert Facts(nine)._relabelled == (nine, tuple(m | 1 << v for v, m in enumerate(nine.adj)))
     # a path under shuffled labels comes out as the path from its end of
     # least label, and closed[v] is N[v] in the copy's labels
     perm = random.Random(16).sample(range(16), 16)
@@ -95,6 +96,8 @@ def test_facts_above_the_crossover_against_the_oracles():
             assert item._relabelled[0] is not g
             assert fam_as_sets(item.psi) == oracles.psi(n, e)
             assert fam_as_sets(item.omega) == oracles.maximum_stable_sets(n, e)
+            assert maximal_stable_sets(g) == sorted(
+                sum(1 << v for v in s) for s in oracles.maximal_stable_sets(n, e))
             assert item.alpha == oracles.alpha(n, e)
             assert item.well_covered == oracles.is_well_covered(n, e)
             assert item.perfect_matching_count == len(oracles.perfect_matchings(n, e))

@@ -8,11 +8,11 @@ import oracles
 from lmss import (CorpusSpec, Edge, Matching, UsageError, corona, complete, cycle, fixture,
                   parse_edge_list, path, verify)
 from lmss.corpus import (connected_graphs, corona_family, graph_from_key, graph_keys,
-                         iter_corpus, nonisomorphic_graphs)
+                         iter_corpus, nonisomorphic_graphs, random_graphs)
 from lmss.classifiers import (has_isolated_vertices, is_bipartite, is_c4_free, is_forest,
                               is_triangle_free)
 from lmss.facts import Facts
-from lmss.matching import (_count_perfect_matchings_on, _cycle_free, _induced_path,
+from lmss.matching import (_chordless_cycle_through, _count_perfect_matchings_on, _cycle_free,
                            count_perfect_matchings, mu)
 from lmss.graphs import Graph, serialize
 from lmss.stability import _alpha_on, _chain_grows, _psi_member_counting, _stable_sets
@@ -215,6 +215,53 @@ def test_th4_alpha_of_an_edge_deleted_graph_reads_a_mask_of_the_graph():
         assert common == mu_critical, serialize(g)
 
 
+def _th4_details_on_the_graphs_labels(g):
+    """th4's details on a Koenig-Egervary item of g, recomputed with alpha on
+    g's own labels through a fresh memo."""
+    item = Facts(g)
+    mms, omega = item.maximum_matchings, item.omega.members
+    memo = {}
+    a0 = _alpha_on(g, g.full_mask, memo)
+    out = [f"maximum matching {m!r} not inside the cut of {s:#x}"
+           for m in mms for s in omega
+           if any((s >> u & 1) == (s >> v & 1) for u, v in m.edges)]
+    in_every = set.intersection(*(set(m.edges) for m in mms))
+    bip = is_bipartite(g)
+    for u, v in g.edges():
+        alpha_critical = 2 + _alpha_on(g, g.full_mask & ~(g.adj[u] | g.adj[v]), memo) > a0
+        mu_critical = (u, v) in in_every
+        if alpha_critical and not mu_critical:
+            out.append(f"edge ({u},{v}) alpha-critical but not mu-critical")
+        if bip and mu_critical and not alpha_critical:
+            out.append(f"bipartite edge ({u},{v}) mu-critical but not alpha-critical")
+    return out
+
+
+def test_th4_past_the_crossover_equals_its_recomputation_on_the_graphs_labels():
+    # past _RELABEL_CROSSOVER th4 probes alpha on the breadth-first copy,
+    # through the item's memo, which psi has filled first, as in a verify
+    # run; forced Koenig-Egervary, so every line shows.  Seed 3 keeps th4's
+    # matching-by-stable-set loop short: its graphs at n = 15 and 16 hold
+    # 1,512 and 981 maximum matchings
+    for n in range(10, 17):
+        g = random_graphs(1, n, 0.5, seed=3)[0]
+        item = Facts(g)
+        item.__dict__["koenig_egervary"] = True
+        item.psi
+        assert item._relabelled[0] is not g
+        assert RULES["th4"].check(item) == _th4_details_on_the_graphs_labels(g), serialize(g)
+
+
+def test_th4_fills_only_the_items_alpha_memo(patch_lmss):
+    g = random_graphs(1, 12, 0.5, seed=12)[0]
+    item = Facts(g)
+    item.__dict__["koenig_egervary"] = True
+    memos = []
+    patch_lmss(_alpha_on, lambda g, avail, memo: memos.append(memo) or _alpha_on(g, avail, memo))
+    RULES["th4"].check(item)
+    assert memos and all(memo is item._alpha_memo for memo in memos)
+
+
 @pytest.mark.slow
 def test_th4_and_th9_hold_on_every_connected_graph_to_eight():
     # every matching of every connected graph with n <= 8 meets the newest-edge seeding
@@ -299,11 +346,11 @@ def test_lem1_searches_each_perfect_matching_edge_once(patch_lmss):
     # distinct edges; each edge is searched once however many hold it
     calls = []
 
-    def counting(g, x, y, min_edges):
+    def counting(g, x, y):
         calls.append((g, x, y))
-        return _induced_path(g, x, y, min_edges)
+        return _chordless_cycle_through(g, x, y)
 
-    patch_lmss(_induced_path, counting)
+    patch_lmss(_chordless_cycle_through, counting)
     summary = verify(CorpusSpec(source="exhaustive", max_n=8, filter="vwc"), ["lem1"])
     assert summary.passed and summary.reports[0].checked == 28
     assert len(calls) == len(set(calls)) == 142
